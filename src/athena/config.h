@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <string_view>
 
 #include "common/sim_time.h"
@@ -27,6 +28,20 @@ enum class Scheme {
     case Scheme::kLvfl: return "lvfl";
   }
   return "?";
+}
+
+/// Inverse of to_string(Scheme): sets `*out` and returns true for a known
+/// scheme name, returns false (leaving `*out` alone) otherwise.
+[[nodiscard]] constexpr bool parse_scheme(std::string_view name,
+                                          Scheme* out) noexcept {
+  for (const Scheme s : {Scheme::kCmp, Scheme::kSlt, Scheme::kLcf,
+                         Scheme::kLvf, Scheme::kLvfl}) {
+    if (to_string(s) == name) {
+      *out = s;
+      return true;
+    }
+  }
+  return false;
 }
 
 /// Tunable knobs of an Athena node. Scheme presets set the first block;

@@ -1,9 +1,7 @@
 #include "scenario/route_scenario.h"
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
-#include <numeric>
 #include <unordered_set>
 
 #include "athena/directory.h"
@@ -11,70 +9,13 @@
 #include "common/rng.h"
 #include "des/simulator.h"
 #include "net/topology.h"
-#include "scenario/runner.h"
-#include "scenario/spec.h"
+#include "scenario/plugin.h"
 #include "world/dynamics.h"
 #include "world/grid_map.h"
 #include "world/sensor_field.h"
 
 namespace dde::scenario {
 namespace {
-
-/// Connect sensors' host nodes: geometric links within `radius`, then join
-/// any remaining components by their closest node pair so the network is
-/// always connected.
-void build_links(net::Topology& topo, const world::SensorField& field,
-                 const ScenarioConfig& cfg) {
-  const auto& sensors = field.sensors();
-  const std::size_t n = sensors.size();
-  auto dist = [&](std::size_t a, std::size_t b) {
-    const double dx = sensors[a].x - sensors[b].x;
-    const double dy = sensors[a].y - sensors[b].y;
-    return std::sqrt(dx * dx + dy * dy);
-  };
-
-  // Union-find for connectivity.
-  std::vector<std::size_t> parent(n);
-  std::iota(parent.begin(), parent.end(), std::size_t{0});
-  auto find = [&](std::size_t x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  };
-
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      if (dist(i, j) <= cfg.link_radius) {
-        topo.add_link(NodeId{i}, NodeId{j}, cfg.link_bandwidth_bps,
-                      cfg.link_latency);
-        parent[find(i)] = find(j);
-      }
-    }
-  }
-  // Join disconnected components by their closest cross pair.
-  for (;;) {
-    double best = 0.0;
-    std::size_t bi = n;
-    std::size_t bj = n;
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = i + 1; j < n; ++j) {
-        if (find(i) == find(j)) continue;
-        const double d = dist(i, j);
-        if (bi == n || d < best) {
-          best = d;
-          bi = i;
-          bj = j;
-        }
-      }
-    }
-    if (bi == n) break;  // connected
-    topo.add_link(NodeId{bi}, NodeId{bj}, cfg.link_bandwidth_bps,
-                  cfg.link_latency);
-    parent[find(bi)] = find(bj);
-  }
-}
 
 /// Build one route-finding decision expression: OR over candidate routes of
 /// AND(viable(segment)). Prefers route sets whose segments are all covered
@@ -115,23 +56,29 @@ decision::DnfExpr make_route_query(const world::GridMap& map,
   return expr;
 }
 
-/// One in-flight route-scenario run.
-///
-/// The constructor executes the exact statement sequence of the legacy
-/// monolithic run_route_scenario() up to (but excluding) the final
-/// sim.run_until; advance()/collect() are the remaining two phases, split
-/// out so the ScenarioRunner plugin can drive setup/tick/outcome
-/// separately. Member declaration order mirrors the legacy local-variable
-/// order (so destruction runs in the same relative order), and every RNG
-/// draw happens in the original sequence — a whole run through this class
-/// is bit-for-bit identical to the legacy function.
+/// One in-flight route-scenario run. Published results are pinned to this
+/// exact sequence: every RNG draw happens in constructor order, and member
+/// declaration order fixes construction/destruction order — reorder
+/// neither.
 class RouteRun {
  public:
+  using Config = ScenarioConfig;
+  using Result = ScenarioResult;
+
   explicit RouteRun(const ScenarioConfig& config);
   RouteRun(const RouteRun&) = delete;
   RouteRun& operator=(const RouteRun&) = delete;
 
-  void advance(SimTime until) { sim_.run_until(until); }
+  /// Run the DES to `until`. With run_to_quiescence, reaching the horizon
+  /// keeps going until the DES drains (the chaos harness's quiesce point):
+  /// the workload is finite and every recurring callback (GC, pump,
+  /// watchdogs) terminates once its state drains.
+  void advance(SimTime until) {
+    sim_.run_until(until);
+    if (cfg_.run_to_quiescence && until >= cfg_.horizon) {
+      sim_.run_until(SimTime::max());
+    }
+  }
 
   /// Assemble the result for the run advanced so far (idempotent).
   [[nodiscard]] ScenarioResult collect();
@@ -186,7 +133,8 @@ RouteRun::RouteRun(const ScenarioConfig& config)
   for (std::size_t i = 0; i < cfg.node_count; ++i) {
     hosts_.push_back(topo_.add_node());
   }
-  build_links(topo_, field, cfg);
+  build_links(topo_, field, cfg.link_radius, cfg.link_bandwidth_bps,
+              cfg.link_latency);
   topo_.compute_routes();
 
   network_.emplace(sim_, topo_);
@@ -200,26 +148,10 @@ RouteRun::RouteRun(const ScenarioConfig& config)
                                               cfg.link_queue_max_bytes});
   }
 
-  // Structured fault injection. Realized from its own RNG streams so that
-  // enabling faults or chaos never perturbs world/workload generation, and
-  // empty specs construct nothing at all. Chaos churn draws from a third
-  // stream: adding churn to a faulted run leaves the FaultSpec schedule
-  // itself bit-for-bit unchanged.
-  if (!cfg.faults.empty() || !cfg.chaos.empty()) {
-    Rng fault_rng(cfg.seed * 6271 + 17);
-    fault::FaultPlan plan = cfg.faults.realize(topo_, fault_rng);
-    if (!cfg.chaos.empty()) {
-      Rng chaos_rng(cfg.seed * 15485863 + 19);
-      fault::FaultPlan churn = fault::realize_chaos(cfg.chaos, topo_,
-                                                    chaos_rng);
-      plan.events.insert(plan.events.end(), churn.events.begin(),
-                         churn.events.end());
-      if (churn.burst.enabled()) plan.burst = churn.burst;
-      // One policy governs the merged plan; a non-empty chaos spec wins.
-      plan.restart_policy = churn.restart_policy;
-    }
-    injector_.emplace(sim_, topo_, network, std::move(plan),
-                      cfg.seed * 104729 + 7);
+  // Structured fault injection (faults + chaos churn, own RNG streams).
+  if (auto plan = merged_fault_plan(cfg.faults, cfg.chaos, topo_, cfg.seed)) {
+    injector_.emplace(sim_, topo_, network, std::move(*plan),
+                      injector_seed(cfg.seed));
   }
 
   // --- directory -------------------------------------------------------------
@@ -246,20 +178,7 @@ RouteRun::RouteRun(const ScenarioConfig& config)
     }
   }
 
-  // Crash-faithful restarts: route injector transitions into the protocol
-  // layer. Under the default ghost policy the hooks return immediately, so
-  // wiring them is free and legacy fault runs stay bit-for-bit identical.
-  if (injector_) {
-    const fault::RestartPolicy policy = injector_->plan().restart_policy;
-    injector_->set_node_hook([this, policy](NodeId node, bool up) {
-      if (node.value() >= nodes_.size()) return;
-      if (up) {
-        nodes_[node.value()]->on_restart(policy);
-      } else {
-        nodes_[node.value()]->on_crash(policy);
-      }
-    });
-  }
+  if (injector_) wire_restart_hooks(*injector_, nodes_);
 
   // --- workload ----------------------------------------------------------------
   std::unordered_set<SegmentId> covered;
@@ -414,16 +333,6 @@ ScenarioResult RouteRun::collect() {
 
 // --- the "route" plugin ----------------------------------------------------
 
-bool parse_scheme(const std::string& v, athena::Scheme* out) {
-  if (v == "cmp") *out = athena::Scheme::kCmp;
-  else if (v == "slt") *out = athena::Scheme::kSlt;
-  else if (v == "lcf") *out = athena::Scheme::kLcf;
-  else if (v == "lvf") *out = athena::Scheme::kLvf;
-  else if (v == "lvfl") *out = athena::Scheme::kLvfl;
-  else return false;
-  return true;
-}
-
 std::string arrival_name(ScenarioConfig::Arrival a) {
   switch (a) {
     case ScenarioConfig::Arrival::kConcurrent: return "concurrent";
@@ -477,121 +386,42 @@ SpecBinder route_binder(ScenarioConfig& cfg) {
   b.bind_seconds("disruption_at_s", &cfg.disruption_at);
   b.bind("disruption_fraction", &cfg.disruption_fraction);
   b.bind("broadcast_invalidation", &cfg.broadcast_invalidation);
-  // Structured fault injection (scalar knobs; the burst channel stays
-  // typed-only).
-  b.bind("fault_link_outage_fraction", &cfg.faults.link_outage_fraction);
-  b.bind_seconds("fault_outage_at_s", &cfg.faults.outage_at);
-  b.bind_seconds("fault_outage_duration_s", &cfg.faults.outage_duration);
-  b.bind("fault_crash_fraction", &cfg.faults.node_crash_fraction);
-  b.bind_seconds("fault_crash_at_s", &cfg.faults.crash_at);
-  b.bind_seconds("fault_crash_duration_s", &cfg.faults.crash_duration);
-  b.bind_enum(
-      "fault_restart_policy",
-      [&cfg] { return std::string(fault::to_string(cfg.faults.restart_policy)); },
-      [&cfg](const std::string& v) {
-        return fault::parse_restart_policy(v, &cfg.faults.restart_policy);
-      });
-  b.bind("fault_crash_recovery", &cfg.fault_crash_recovery);
-  b.bind_seconds("fault_recovery_lease_s", &cfg.recovery_lease);
-  // Seeded chaos churn (chaos.spare_node0 and chaos.burst stay typed-only).
-  b.bind_seconds("chaos_window_start_s", &cfg.chaos.window_start);
-  b.bind_seconds("chaos_window_end_s", &cfg.chaos.window_end);
-  b.bind("chaos_crashes_per_node_min", &cfg.chaos.crashes_per_node_min);
-  b.bind_seconds("chaos_min_downtime_s", &cfg.chaos.min_downtime);
-  b.bind_seconds("chaos_max_downtime_s", &cfg.chaos.max_downtime);
-  b.bind("chaos_flaps_per_link_min", &cfg.chaos.flaps_per_link_min);
-  b.bind_seconds("chaos_min_flap_s", &cfg.chaos.min_flap);
-  b.bind_seconds("chaos_max_flap_s", &cfg.chaos.max_flap);
-  b.bind_enum(
-      "chaos_restart_policy",
-      [&cfg] { return std::string(fault::to_string(cfg.chaos.restart_policy)); },
-      [&cfg](const std::string& v) {
-        return fault::parse_restart_policy(v, &cfg.chaos.restart_policy);
-      });
+  bind_fault_knobs(b, &cfg.faults, &cfg.chaos, &cfg.fault_crash_recovery,
+                   &cfg.recovery_lease);
   b.bind("run_to_quiescence", &cfg.run_to_quiescence);
-  b.bind_enum(
-      "scheme", [&cfg] { return std::string(to_string(cfg.scheme)); },
-      [&cfg](const std::string& v) { return parse_scheme(v, &cfg.scheme); });
+  bind_scheme(b, &cfg.scheme);
   return b;
 }
 
-class RouteScenarioRunner final : public ScenarioRunner {
- public:
-  [[nodiscard]] const ScenarioMetadata& metadata() const override {
-    static const ScenarioMetadata meta{
-        "route",
-        "Post-disaster route assessment on a Manhattan grid (paper Sec. VII)",
-        "evaluation"};
-    return meta;
-  }
-
-  [[nodiscard]] ScenarioSpec spec() const override {
-    ScenarioConfig copy = cfg_;
-    return route_binder(copy).to_spec();
-  }
-
-  void configure(const ScenarioSpec& spec) override {
-    DDE_CHECK(run_ == nullptr,
-              "route scenario: configure() between setup() and reset()");
-    route_binder(cfg_).apply(spec);
-  }
-
-  void setup(std::uint64_t seed) override {
-    cfg_.seed = seed;
-    run_ = std::make_unique<RouteRun>(cfg_);
-  }
-
-  void tick(SimTime until) override {
-    DDE_CHECK(run_ != nullptr, "route scenario: tick() before setup()");
-    run_->advance(until);
-  }
-
-  [[nodiscard]] SimTime horizon() const override { return cfg_.horizon; }
-
-  [[nodiscard]] ScenarioOutcome outcome() override {
-    DDE_CHECK(run_ != nullptr, "route scenario: outcome() before setup()");
-    const ScenarioResult r = run_->collect();
-    ScenarioOutcome out;
-    out.metrics["queries"] = static_cast<double>(r.queries);
-    out.metrics["queries_resolved"] =
-        static_cast<double>(r.metrics.queries_resolved);
-    out.metrics["queries_failed"] =
-        static_cast<double>(r.metrics.queries_failed);
-    out.metrics["resolution_ratio"] = r.resolution_ratio();
-    out.metrics["mean_latency_s"] = r.metrics.mean_latency_s();
-    out.metrics["total_megabytes"] = r.total_megabytes();
-    out.metrics["decision_accuracy"] = r.decision_accuracy();
-    out.metrics["decisions_audited"] =
-        static_cast<double>(r.decisions_audited);
-    out.metrics["events"] = static_cast<double>(r.events);
-    out.metrics["refetches"] = static_cast<double>(r.metrics.refetches);
-    out.metrics["retries"] = static_cast<double>(r.metrics.retries);
-    out.metrics["failovers"] = static_cast<double>(r.metrics.failovers);
-    out.metrics["crashed_queries"] =
-        static_cast<double>(r.metrics.queries_failed_crash);
-    out.metrics["node_restarts"] =
-        static_cast<double>(r.metrics.node_restarts);
-    out.metrics["recovery_time_s"] = r.metrics.mean_recovery_time_s();
-    return out;
-  }
-
-  void reset() override { run_.reset(); }
-
- private:
-  ScenarioConfig cfg_;
-  std::unique_ptr<RouteRun> run_;
-};
+ScenarioOutcome route_outcome(const ScenarioResult& r) {
+  ScenarioOutcome out;
+  out.metrics["queries"] = static_cast<double>(r.queries);
+  out.metrics["queries_resolved"] =
+      static_cast<double>(r.metrics.queries_resolved);
+  out.metrics["queries_failed"] =
+      static_cast<double>(r.metrics.queries_failed);
+  out.metrics["resolution_ratio"] = r.resolution_ratio();
+  out.metrics["mean_latency_s"] = r.metrics.mean_latency_s();
+  out.metrics["total_megabytes"] = r.total_megabytes();
+  out.metrics["decision_accuracy"] = r.decision_accuracy();
+  out.metrics["decisions_audited"] =
+      static_cast<double>(r.decisions_audited);
+  out.metrics["events"] = static_cast<double>(r.events);
+  out.metrics["refetches"] = static_cast<double>(r.metrics.refetches);
+  out.metrics["retries"] = static_cast<double>(r.metrics.retries);
+  out.metrics["failovers"] = static_cast<double>(r.metrics.failovers);
+  out.metrics["crashed_queries"] =
+      static_cast<double>(r.metrics.queries_failed_crash);
+  out.metrics["node_restarts"] =
+      static_cast<double>(r.metrics.node_restarts);
+  out.metrics["recovery_time_s"] = r.metrics.mean_recovery_time_s();
+  return out;
+}
 
 }  // namespace
 
 ScenarioResult run_route_scenario(const ScenarioConfig& cfg) {
-  RouteRun run(cfg);
-  run.advance(cfg.horizon);
-  // Quiesce point: the workload is finite and every recurring callback
-  // (GC, pump, watchdogs) terminates once its state drains, so running to
-  // SimTime::max() executes every pending event and then stops.
-  if (cfg.run_to_quiescence) run.advance(SimTime::max());
-  return run.collect();
+  return run_to_horizon<RouteRun>(cfg);
 }
 
 ScenarioConfig route_config_from_spec(const ScenarioSpec& spec) {
@@ -600,14 +430,13 @@ ScenarioConfig route_config_from_spec(const ScenarioSpec& spec) {
   return cfg;
 }
 
-void register_route_scenario() {
-  static const bool once = [] {
-    register_scenario("route", +[]() -> std::unique_ptr<ScenarioRunner> {
-      return std::make_unique<RouteScenarioRunner>();
-    });
-    return true;
-  }();
-  (void)once;
+std::unique_ptr<ScenarioRunner> make_route_runner() {
+  return std::make_unique<PluginRunner<RouteRun>>(
+      ScenarioMetadata{
+          "route",
+          "Post-disaster route assessment on a Manhattan grid (paper Sec. VII)",
+          "evaluation"},
+      &route_binder, &route_outcome);
 }
 
 }  // namespace dde::scenario

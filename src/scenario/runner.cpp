@@ -1,13 +1,12 @@
 #include "scenario/runner.h"
 
 #include <cstdio>
+#include <initializer_list>
 
 #include "common/contracts.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
-#include "scenario/route_scenario.h"
-#include "scenario/teleop_scenario.h"
-#include "scenario/trigger_scenario.h"
+#include "scenario/plugin.h"
 
 namespace dde::scenario {
 namespace {
@@ -35,9 +34,10 @@ Registry& registry() {
 /// library is linked statically and nothing references the plugin TU.
 void ensure_builtins() {
   static const bool once = [] {
-    register_route_scenario();
-    register_trigger_scenario();
-    register_teleop_scenario();
+    for (const ScenarioFactory make :
+         {&make_route_runner, &make_teleop_runner, &make_trigger_runner}) {
+      register_scenario(make()->metadata().name, make);
+    }
     return true;
   }();
   (void)once;

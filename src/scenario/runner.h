@@ -13,10 +13,10 @@
 //   runner->reset();               // drop run state; setup() again reuses it
 //
 // run(seed) bundles setup/tick/outcome for the common whole-run case.
-// Registration is explicit and idempotent (register_route_scenario() etc.,
-// invoked lazily by the registry) — no static-initialization order games —
-// and the registry iterates in sorted name order, so listings and
-// any-scenario sweeps are deterministic and lint-clean.
+// The builtin plugins are registered explicitly and once, by the registry
+// itself on first lookup (see scenario/plugin.h) — no static-initialization
+// order games — and the registry iterates in sorted name order, so
+// listings and any-scenario sweeps are deterministic and lint-clean.
 #pragma once
 
 #include <cstdint>

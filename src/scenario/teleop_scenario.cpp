@@ -18,8 +18,7 @@
 #include "naming/name.h"
 #include "net/network.h"
 #include "net/topology.h"
-#include "scenario/runner.h"
-#include "scenario/spec.h"
+#include "scenario/plugin.h"
 #include "world/dynamics.h"
 #include "world/grid_map.h"
 #include "world/mobility.h"
@@ -39,8 +38,15 @@ namespace {
 /// cellular links, within a deadline shorter than the retry timeout:
 /// single-path loss means a missed decision, which is exactly the regime
 /// multipath redundancy targets.
+///
+/// Published results are pinned to this exact sequence: every RNG draw
+/// happens in constructor order, and member declaration order fixes
+/// construction/destruction order — reorder neither.
 class TeleopRun {
  public:
+  using Config = TeleopScenarioConfig;
+  using Result = TeleopScenarioResult;
+
   explicit TeleopRun(const TeleopScenarioConfig& config);
   TeleopRun(const TeleopRun&) = delete;
   TeleopRun& operator=(const TeleopRun&) = delete;
@@ -196,26 +202,14 @@ TeleopRun::TeleopRun(const TeleopScenarioConfig& config)
   // Gateway/vehicle crashes and link outages compose with mobility and
   // multipath redundancy. This scenario owns the network's loss model (the
   // cellular chains above), so a configured burst channel — which the
-  // injector would install over it — is clamped off instead. RNG streams
-  // mirror the route scenario's: enabling faults or chaos never perturbs
-  // world/workload generation.
-  if (!cfg.faults.empty() || !cfg.chaos.empty()) {
-    Rng fault_rng(cfg.seed * 6271 + 17);
-    fault::FaultPlan plan = cfg.faults.realize(topo_, fault_rng);
-    if (!cfg.chaos.empty()) {
-      Rng chaos_rng(cfg.seed * 15485863 + 19);
-      fault::FaultPlan churn = fault::realize_chaos(cfg.chaos, topo_,
-                                                    chaos_rng);
-      plan.events.insert(plan.events.end(), churn.events.begin(),
-                         churn.events.end());
-      plan.restart_policy = churn.restart_policy;
-    }
-    DDE_CLAMP_OR(!plan.burst.enabled(),
-                 plan.burst = fault::GilbertElliottParams{},
+  // injector would install over it — is clamped off instead.
+  if (auto plan = merged_fault_plan(cfg.faults, cfg.chaos, topo_, cfg.seed)) {
+    DDE_CLAMP_OR(!plan->burst.enabled(),
+                 plan->burst = fault::GilbertElliottParams{},
                  "teleop scenario owns the loss model; the fault burst "
                  "channel is disabled");
-    injector_.emplace(sim_, topo_, *network_, std::move(plan),
-                      cfg.seed * 104729 + 7);
+    injector_.emplace(sim_, topo_, *network_, std::move(*plan),
+                      injector_seed(cfg.seed));
   }
 
   // --- directory / nodes ---------------------------------------------------
@@ -239,18 +233,7 @@ TeleopRun::TeleopRun(const TeleopScenarioConfig& config)
         NodeId{i}, network, *directory_, field, node_cfg, metrics_));
   }
 
-  // Crash-faithful restarts (no-op hooks under the default ghost policy).
-  if (injector_) {
-    const fault::RestartPolicy policy = injector_->plan().restart_policy;
-    injector_->set_node_hook([this, policy](NodeId node, bool up) {
-      if (node.value() >= nodes_.size()) return;
-      if (up) {
-        nodes_[node.value()]->on_restart(policy);
-      } else {
-        nodes_[node.value()]->on_crash(policy);
-      }
-    });
-  }
+  if (injector_) wire_restart_hooks(*injector_, nodes_);
 
   // --- workload: the operator assesses every vehicle each period ----------
   ticker_.emplace(sim_, cfg.decision_period, [this](std::uint64_t) {
@@ -268,8 +251,6 @@ TeleopRun::TeleopRun(const TeleopScenarioConfig& config)
 }
 
 TeleopScenarioResult TeleopRun::collect() {
-  ticker_->stop();
-
   TeleopScenarioResult result;
   result.metrics = metrics_;
   result.metrics.link_down_drops = network_->stats().link_down_drops;
@@ -293,16 +274,6 @@ TeleopScenarioResult TeleopRun::collect() {
 }
 
 // --- the "teleop" plugin ---------------------------------------------------
-
-bool parse_scheme(const std::string& v, athena::Scheme* out) {
-  if (v == "cmp") *out = athena::Scheme::kCmp;
-  else if (v == "slt") *out = athena::Scheme::kSlt;
-  else if (v == "lcf") *out = athena::Scheme::kLcf;
-  else if (v == "lvf") *out = athena::Scheme::kLvf;
-  else if (v == "lvfl") *out = athena::Scheme::kLvfl;
-  else return false;
-  return true;
-}
 
 /// The "teleop" plugin's spec schema over a config instance. The binder
 /// holds pointers into `cfg`: it must not outlive it.
@@ -328,127 +299,46 @@ SpecBinder teleop_binder(TeleopScenarioConfig& cfg) {
   b.bind("max_object_bytes", &cfg.max_object_bytes);
   b.bind("critical_priority", &cfg.critical_priority);
   b.bind("multipath_redundancy", &cfg.multipath_redundancy);
-  // Structured fault injection (the burst channel is not honored here; see
-  // TeleopScenarioConfig::faults).
-  b.bind("fault_link_outage_fraction", &cfg.faults.link_outage_fraction);
-  b.bind_seconds("fault_outage_at_s", &cfg.faults.outage_at);
-  b.bind_seconds("fault_outage_duration_s", &cfg.faults.outage_duration);
-  b.bind("fault_crash_fraction", &cfg.faults.node_crash_fraction);
-  b.bind_seconds("fault_crash_at_s", &cfg.faults.crash_at);
-  b.bind_seconds("fault_crash_duration_s", &cfg.faults.crash_duration);
-  b.bind_enum(
-      "fault_restart_policy",
-      [&cfg] { return std::string(fault::to_string(cfg.faults.restart_policy)); },
-      [&cfg](const std::string& v) {
-        return fault::parse_restart_policy(v, &cfg.faults.restart_policy);
-      });
-  b.bind("fault_crash_recovery", &cfg.fault_crash_recovery);
-  b.bind_seconds("fault_recovery_lease_s", &cfg.recovery_lease);
-  b.bind_seconds("chaos_window_start_s", &cfg.chaos.window_start);
-  b.bind_seconds("chaos_window_end_s", &cfg.chaos.window_end);
-  b.bind("chaos_crashes_per_node_min", &cfg.chaos.crashes_per_node_min);
-  b.bind_seconds("chaos_min_downtime_s", &cfg.chaos.min_downtime);
-  b.bind_seconds("chaos_max_downtime_s", &cfg.chaos.max_downtime);
-  b.bind("chaos_flaps_per_link_min", &cfg.chaos.flaps_per_link_min);
-  b.bind_seconds("chaos_min_flap_s", &cfg.chaos.min_flap);
-  b.bind_seconds("chaos_max_flap_s", &cfg.chaos.max_flap);
-  b.bind_enum(
-      "chaos_restart_policy",
-      [&cfg] { return std::string(fault::to_string(cfg.chaos.restart_policy)); },
-      [&cfg](const std::string& v) {
-        return fault::parse_restart_policy(v, &cfg.chaos.restart_policy);
-      });
+  bind_fault_knobs(b, &cfg.faults, &cfg.chaos, &cfg.fault_crash_recovery,
+                   &cfg.recovery_lease);
   b.bind_seconds("horizon_s", &cfg.horizon);
-  b.bind_enum(
-      "scheme", [&cfg] { return std::string(to_string(cfg.scheme)); },
-      [&cfg](const std::string& v) { return parse_scheme(v, &cfg.scheme); });
+  bind_scheme(b, &cfg.scheme);
   return b;
 }
 
-class TeleopScenarioRunner final : public ScenarioRunner {
- public:
-  [[nodiscard]] const ScenarioMetadata& metadata() const override {
-    static const ScenarioMetadata meta{
-        "teleop",
-        "Vehicular teleoperation over lossy multi-homed cellular links "
-        "(paper Sec. IV-A)",
-        "evaluation"};
-    return meta;
-  }
-
-  [[nodiscard]] ScenarioSpec spec() const override {
-    TeleopScenarioConfig copy = cfg_;
-    return teleop_binder(copy).to_spec();
-  }
-
-  void configure(const ScenarioSpec& spec) override {
-    DDE_CHECK(run_ == nullptr,
-              "teleop scenario: configure() between setup() and reset()");
-    teleop_binder(cfg_).apply(spec);
-  }
-
-  void setup(std::uint64_t seed) override {
-    cfg_.seed = seed;
-    run_ = std::make_unique<TeleopRun>(cfg_);
-  }
-
-  void tick(SimTime until) override {
-    DDE_CHECK(run_ != nullptr, "teleop scenario: tick() before setup()");
-    run_->advance(until);
-  }
-
-  [[nodiscard]] SimTime horizon() const override { return cfg_.horizon; }
-
-  [[nodiscard]] ScenarioOutcome outcome() override {
-    DDE_CHECK(run_ != nullptr, "teleop scenario: outcome() before setup()");
-    const TeleopScenarioResult r = run_->collect();
-    ScenarioOutcome out;
-    out.metrics["queries"] = static_cast<double>(r.queries_issued);
-    out.metrics["deadline_hits"] = static_cast<double>(r.deadline_hits);
-    out.metrics["deadline_hit_rate"] = r.deadline_hit_rate();
-    double latency = 0.0;
-    for (double l : r.latency_s) latency += l;
-    out.metrics["mean_latency_s"] =
-        r.latency_s.empty()
-            ? 0.0
-            : latency / static_cast<double>(r.latency_s.size());
-    out.metrics["total_megabytes"] =
-        static_cast<double>(r.bytes_sent) / 1e6;
-    out.metrics["replica_copies"] = static_cast<double>(r.replica_copies);
-    out.metrics["replica_duplicates"] =
-        static_cast<double>(r.replica_duplicates);
-    out.metrics["events"] = static_cast<double>(r.events);
-    out.metrics["crashed_queries"] =
-        static_cast<double>(r.metrics.queries_failed_crash);
-    out.metrics["node_restarts"] =
-        static_cast<double>(r.metrics.node_restarts);
-    out.metrics["recovery_time_s"] = r.metrics.mean_recovery_time_s();
-    return out;
-  }
-
-  void reset() override { run_.reset(); }
-
- private:
-  TeleopScenarioConfig cfg_;
-  std::unique_ptr<TeleopRun> run_;
-};
+ScenarioOutcome teleop_outcome(const TeleopScenarioResult& r) {
+  ScenarioOutcome out;
+  out.metrics["queries"] = static_cast<double>(r.queries_issued);
+  out.metrics["deadline_hits"] = static_cast<double>(r.deadline_hits);
+  out.metrics["deadline_hit_rate"] = r.deadline_hit_rate();
+  out.metrics["mean_latency_s"] = mean_of(r.latency_s);
+  out.metrics["total_megabytes"] =
+      static_cast<double>(r.bytes_sent) / 1e6;
+  out.metrics["replica_copies"] = static_cast<double>(r.replica_copies);
+  out.metrics["replica_duplicates"] =
+      static_cast<double>(r.replica_duplicates);
+  out.metrics["events"] = static_cast<double>(r.events);
+  out.metrics["crashed_queries"] =
+      static_cast<double>(r.metrics.queries_failed_crash);
+  out.metrics["node_restarts"] =
+      static_cast<double>(r.metrics.node_restarts);
+  out.metrics["recovery_time_s"] = r.metrics.mean_recovery_time_s();
+  return out;
+}
 
 }  // namespace
 
 TeleopScenarioResult run_teleop_scenario(const TeleopScenarioConfig& cfg) {
-  TeleopRun run(cfg);
-  run.advance(cfg.horizon);
-  return run.collect();
+  return run_to_horizon<TeleopRun>(cfg);
 }
 
-void register_teleop_scenario() {
-  static const bool once = [] {
-    register_scenario("teleop", +[]() -> std::unique_ptr<ScenarioRunner> {
-      return std::make_unique<TeleopScenarioRunner>();
-    });
-    return true;
-  }();
-  (void)once;
+std::unique_ptr<ScenarioRunner> make_teleop_runner() {
+  return std::make_unique<PluginRunner<TeleopRun>>(
+      ScenarioMetadata{"teleop",
+                       "Vehicular teleoperation over lossy multi-homed "
+                       "cellular links (paper Sec. IV-A)",
+                       "evaluation"},
+      &teleop_binder, &teleop_outcome);
 }
 
 }  // namespace dde::scenario

@@ -1,9 +1,7 @@
 #include "scenario/trigger_scenario.h"
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
-#include <numeric>
 #include <optional>
 
 #include "athena/directory.h"
@@ -14,8 +12,7 @@
 #include "des/simulator.h"
 #include "net/network.h"
 #include "net/topology.h"
-#include "scenario/runner.h"
-#include "scenario/spec.h"
+#include "scenario/plugin.h"
 #include "world/dynamics.h"
 #include "world/grid_map.h"
 #include "world/sensor_field.h"
@@ -23,62 +20,15 @@
 namespace dde::scenario {
 namespace {
 
-/// Geometric links + connectivity repair (same policy as the route
-/// scenario, duplicated to keep the scenarios independently readable).
-void build_links(net::Topology& topo, const world::SensorField& field,
-                 double radius, double bandwidth) {
-  const auto& sensors = field.sensors();
-  const std::size_t n = sensors.size();
-  auto dist = [&](std::size_t a, std::size_t b) {
-    const double dx = sensors[a].x - sensors[b].x;
-    const double dy = sensors[a].y - sensors[b].y;
-    return std::sqrt(dx * dx + dy * dy);
-  };
-  std::vector<std::size_t> parent(n);
-  std::iota(parent.begin(), parent.end(), std::size_t{0});
-  auto find = [&](std::size_t x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  };
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      if (dist(i, j) <= radius) {
-        topo.add_link(NodeId{i}, NodeId{j}, bandwidth);
-        parent[find(i)] = find(j);
-      }
-    }
-  }
-  for (;;) {
-    double best = 0.0;
-    std::size_t bi = n;
-    std::size_t bj = n;
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = i + 1; j < n; ++j) {
-        if (find(i) == find(j)) continue;
-        const double d = dist(i, j);
-        if (bi == n || d < best) {
-          best = d;
-          bi = i;
-          bj = j;
-        }
-      }
-    }
-    if (bi == n) break;
-    topo.add_link(NodeId{bi}, NodeId{bj}, bandwidth);
-    parent[find(bi)] = find(bj);
-  }
-}
-
-/// One in-flight warehouse-watch run: the exact statement sequence of the
-/// legacy monolithic run_trigger_scenario() split at the final run_until.
-/// Member declaration order mirrors the legacy local-variable order, and
-/// every RNG draw happens in the original sequence, so a whole run through
-/// this class is bit-for-bit identical to the legacy function.
+/// One in-flight warehouse-watch run. Published results are pinned to this
+/// exact sequence: every RNG draw happens in constructor order, and member
+/// declaration order fixes construction/destruction order — reorder
+/// neither.
 class TriggerRun {
  public:
+  using Config = TriggerScenarioConfig;
+  using Result = TriggerScenarioResult;
+
   explicit TriggerRun(const TriggerScenarioConfig& config);
   TriggerRun(const TriggerRun&) = delete;
   TriggerRun& operator=(const TriggerRun&) = delete;
@@ -171,7 +121,8 @@ TriggerRun::TriggerRun(const TriggerScenarioConfig& config)
   for (std::size_t i = 0; i < cfg.node_count; ++i) {
     hosts_.push_back(topo_.add_node());
   }
-  build_links(topo_, field, cfg.link_radius, cfg.link_bandwidth_bps);
+  build_links(topo_, field, cfg.link_radius, cfg.link_bandwidth_bps,
+              SimTime::millis(1));
   topo_.compute_routes();
 
   network_.emplace(sim_, topo_);
@@ -217,9 +168,6 @@ TriggerRun::TriggerRun(const TriggerScenarioConfig& config)
 
   // --- the watch loop -------------------------------------------------------
   prev_state_ = truth.viable_at(watched, SimTime::zero());
-  if (prev_state_) {
-    // Already in the "motion" state at start: treat its onset as t=0.
-  }
   watch_.emplace(sim_, watch_period_, [this](std::uint64_t) {
     const SimTime now = sim_.now();
     const bool state = truth_->viable_at(watched_, now);
@@ -249,8 +197,6 @@ TriggerRun::TriggerRun(const TriggerScenarioConfig& config)
 }
 
 TriggerScenarioResult TriggerRun::collect() {
-  watch_->stop();
-
   TriggerScenarioResult result = result_;
   result.metrics = metrics_;
   // Reaction times: records at the watch node align 1:1 with events.
@@ -267,16 +213,6 @@ TriggerScenarioResult TriggerRun::collect() {
 
 // --- the "trigger" plugin --------------------------------------------------
 
-bool parse_scheme(const std::string& v, athena::Scheme* out) {
-  if (v == "cmp") *out = athena::Scheme::kCmp;
-  else if (v == "slt") *out = athena::Scheme::kSlt;
-  else if (v == "lcf") *out = athena::Scheme::kLcf;
-  else if (v == "lvf") *out = athena::Scheme::kLvf;
-  else if (v == "lvfl") *out = athena::Scheme::kLvfl;
-  else return false;
-  return true;
-}
-
 /// The "trigger" plugin's spec schema over a config instance. The binder
 /// holds pointers into `cfg`: it must not outlive it.
 SpecBinder trigger_binder(TriggerScenarioConfig& cfg) {
@@ -292,94 +228,36 @@ SpecBinder trigger_binder(TriggerScenarioConfig& cfg) {
   b.bind_seconds("query_deadline_s", &cfg.query_deadline);
   b.bind("cameras_per_query", &cfg.cameras_per_query);
   b.bind_seconds("horizon_s", &cfg.horizon);
-  b.bind_enum(
-      "scheme", [&cfg] { return std::string(to_string(cfg.scheme)); },
-      [&cfg](const std::string& v) { return parse_scheme(v, &cfg.scheme); });
+  bind_scheme(b, &cfg.scheme);
   return b;
 }
 
-class TriggerScenarioRunner final : public ScenarioRunner {
- public:
-  [[nodiscard]] const ScenarioMetadata& metadata() const override {
-    static const ScenarioMetadata meta{
-        "trigger",
-        "Event-triggered intruder identification in a warehouse "
-        "(paper Sec. IV-B)",
-        "evaluation"};
-    return meta;
-  }
-
-  [[nodiscard]] ScenarioSpec spec() const override {
-    TriggerScenarioConfig copy = cfg_;
-    return trigger_binder(copy).to_spec();
-  }
-
-  void configure(const ScenarioSpec& spec) override {
-    DDE_CHECK(run_ == nullptr,
-              "trigger scenario: configure() between setup() and reset()");
-    trigger_binder(cfg_).apply(spec);
-  }
-
-  void setup(std::uint64_t seed) override {
-    cfg_.seed = seed;
-    run_ = std::make_unique<TriggerRun>(cfg_);
-  }
-
-  void tick(SimTime until) override {
-    DDE_CHECK(run_ != nullptr, "trigger scenario: tick() before setup()");
-    run_->advance(until);
-  }
-
-  [[nodiscard]] SimTime horizon() const override { return cfg_.horizon; }
-
-  [[nodiscard]] ScenarioOutcome outcome() override {
-    DDE_CHECK(run_ != nullptr, "trigger scenario: outcome() before setup()");
-    const TriggerScenarioResult r = run_->collect();
-    ScenarioOutcome out;
-    out.metrics["events"] = static_cast<double>(r.events);
-    out.metrics["queries_issued"] = static_cast<double>(r.queries_issued);
-    out.metrics["queries_resolved"] =
-        static_cast<double>(r.metrics.queries_resolved);
-    out.metrics["resolution_ratio"] = r.resolution_ratio();
-    double detection = 0.0;
-    for (double d : r.detection_s) detection += d;
-    out.metrics["mean_detection_s"] =
-        r.detection_s.empty()
-            ? 0.0
-            : detection / static_cast<double>(r.detection_s.size());
-    double reaction = 0.0;
-    for (double d : r.reaction_s) reaction += d;
-    out.metrics["mean_reaction_s"] =
-        r.reaction_s.empty()
-            ? 0.0
-            : reaction / static_cast<double>(r.reaction_s.size());
-    out.metrics["reactions"] = static_cast<double>(r.reaction_s.size());
-    return out;
-  }
-
-  void reset() override { run_.reset(); }
-
- private:
-  TriggerScenarioConfig cfg_;
-  std::unique_ptr<TriggerRun> run_;
-};
+ScenarioOutcome trigger_outcome(const TriggerScenarioResult& r) {
+  ScenarioOutcome out;
+  out.metrics["events"] = static_cast<double>(r.events);
+  out.metrics["queries_issued"] = static_cast<double>(r.queries_issued);
+  out.metrics["queries_resolved"] =
+      static_cast<double>(r.metrics.queries_resolved);
+  out.metrics["resolution_ratio"] = r.resolution_ratio();
+  out.metrics["mean_detection_s"] = mean_of(r.detection_s);
+  out.metrics["mean_reaction_s"] = mean_of(r.reaction_s);
+  out.metrics["reactions"] = static_cast<double>(r.reaction_s.size());
+  return out;
+}
 
 }  // namespace
 
 TriggerScenarioResult run_trigger_scenario(const TriggerScenarioConfig& cfg) {
-  TriggerRun run(cfg);
-  run.advance(cfg.horizon);
-  return run.collect();
+  return run_to_horizon<TriggerRun>(cfg);
 }
 
-void register_trigger_scenario() {
-  static const bool once = [] {
-    register_scenario("trigger", +[]() -> std::unique_ptr<ScenarioRunner> {
-      return std::make_unique<TriggerScenarioRunner>();
-    });
-    return true;
-  }();
-  (void)once;
+std::unique_ptr<ScenarioRunner> make_trigger_runner() {
+  return std::make_unique<PluginRunner<TriggerRun>>(
+      ScenarioMetadata{"trigger",
+                       "Event-triggered intruder identification in a "
+                       "warehouse (paper Sec. IV-B)",
+                       "evaluation"},
+      &trigger_binder, &trigger_outcome);
 }
 
 }  // namespace dde::scenario

@@ -7,10 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "common/contracts.h"
+#include "fault/gilbert_elliott.h"
 #include "scenario/route_scenario.h"
 #include "scenario/spec.h"
 #include "scenario/teleop_scenario.h"
@@ -67,6 +69,121 @@ TEST(ScenarioSpec, RoundTripsForEveryBuiltin) {
     other->configure(spec);
     EXPECT_EQ(other->spec(), spec) << name;
   }
+}
+
+// The full key set and defaults of every builtin, pinned verbatim: a
+// renamed, dropped, or re-defaulted knob breaks saved specs and sweeps.
+TEST(ScenarioSpec, BuiltinDefaultsMatchGoldenDumps) {
+  const char* const route = R"(arrival = concurrent
+broadcast_invalidation = true
+chaos_crashes_per_node_min = 0
+chaos_flaps_per_link_min = 0
+chaos_max_downtime_s = 40
+chaos_max_flap_s = 15
+chaos_min_downtime_s = 10
+chaos_min_flap_s = 2
+chaos_restart_policy = ghost
+chaos_window_end_s = 0
+chaos_window_start_s = 0
+corroboration_confidence = 0
+coverage_radius = 1.25
+critical_fraction = 0
+critical_priority = 1
+disruption_at_s = 0
+disruption_fraction = 0.15
+fast_ratio = 0.4
+fast_validity_s = 30
+fault_crash_at_s = 0
+fault_crash_duration_s = 0
+fault_crash_fraction = 0
+fault_crash_recovery = true
+fault_link_outage_fraction = 0
+fault_outage_at_s = 0
+fault_outage_duration_s = 0
+fault_recovery_lease_s = 0
+fault_restart_policy = ghost
+grid_height = 8
+grid_width = 8
+horizon_s = 300
+issue_jitter_s = 1
+link_bandwidth_bps = 1e+06
+link_latency_s = 0.002
+link_queue_max_bytes = 0
+link_queue_max_packets = 0
+link_radius = 2.2
+max_object_bytes = 1048576
+mean_holding_s = 900
+mean_interarrival_s = 60
+min_object_bytes = 102400
+min_route_distance = 4
+node_count = 30
+p_viable = 0.75
+packet_loss = 0
+queries_per_node = 3
+query_deadline_s = 240
+routes_per_query = 5
+run_to_quiescence = false
+scheme = lvfl
+sensor_reliability = 1
+slow_validity_s = 600
+)";
+  const char* const teleop = R"(carrier_count = 3
+cell_bandwidth_bps = 2e+06
+cell_latency_s = 0.04
+cell_loss = 0.05
+chaos_crashes_per_node_min = 0
+chaos_flaps_per_link_min = 0
+chaos_max_downtime_s = 40
+chaos_max_flap_s = 15
+chaos_min_downtime_s = 10
+chaos_min_flap_s = 2
+chaos_restart_policy = ghost
+chaos_window_end_s = 0
+chaos_window_start_s = 0
+core_bandwidth_bps = 5e+07
+core_latency_s = 0.005
+coverage = 0.85
+critical_priority = 1
+decision_period_s = 15
+fault_crash_at_s = 0
+fault_crash_duration_s = 0
+fault_crash_fraction = 0
+fault_crash_recovery = true
+fault_link_outage_fraction = 0
+fault_outage_at_s = 0
+fault_outage_duration_s = 0
+fault_recovery_lease_s = 0
+fault_restart_policy = ghost
+gap_loss = 0.9
+grid_height = 8
+grid_width = 8
+horizon_s = 600
+max_object_bytes = 61440
+mean_burst_len = 8
+min_object_bytes = 20480
+multipath_redundancy = 2
+object_validity_s = 4
+query_deadline_s = 5
+scheme = lvfl
+vehicle_count = 6
+vehicle_speed = 4
+)";
+  const char* const trigger = R"(cameras_per_query = 3
+coverage_radius = 1.25
+event_rate_per_hour = 12
+grid_height = 5
+grid_width = 5
+horizon_s = 3600
+link_bandwidth_bps = 1e+06
+link_radius = 2.4
+node_count = 14
+query_deadline_s = 60
+scheme = lvfl
+watch_period_s = 5
+)";
+  EXPECT_EQ(find_scenario("route")->spec().dump(), route);
+  EXPECT_EQ(find_scenario("teleop")->spec().dump(), teleop);
+  EXPECT_EQ(find_scenario("trigger")->spec().dump(), trigger);
 }
 
 TEST(ScenarioSpecDeathTest, UnknownKeyDies) {
@@ -150,7 +267,49 @@ TEST(ScenarioRegistry, TeleopMatchesLegacyBitForBit) {
             static_cast<double>(legacy.replica_copies));
 }
 
+TEST(ScenarioRegistry, RoutePluginHonorsRunToQuiescence) {
+  ScenarioSpec spec;
+  spec.set("chaos_window_end_s", 300);
+  spec.set("chaos_crashes_per_node_min", 0.05);
+  spec.set("chaos_restart_policy", "cold");
+  spec.set("run_to_quiescence", true);
+
+  ScenarioConfig cfg = route_config_from_spec(spec);
+  cfg.seed = 4;
+  const ScenarioResult legacy = run_route_scenario(cfg);
+  cfg.run_to_quiescence = false;
+  const ScenarioResult at_horizon = run_route_scenario(cfg);
+  // The drain past the horizon is real work, so the comparison below bites.
+  ASSERT_GT(legacy.events, at_horizon.events);
+
+  auto runner = find_scenario("route");
+  runner->configure(spec);
+  const ScenarioOutcome out = runner->run(4);
+  EXPECT_EQ(out.at("events"), static_cast<double>(legacy.events));
+  EXPECT_EQ(out.at("queries_resolved"),
+            static_cast<double>(legacy.metrics.queries_resolved));
+  EXPECT_EQ(out.at("crashed_queries"),
+            static_cast<double>(legacy.metrics.queries_failed_crash));
+  EXPECT_EQ(out.at("total_megabytes"), legacy.total_megabytes());
+}
+
 // --- lifecycle ------------------------------------------------------------
+
+TEST(ScenarioRunner, MidRunOutcomeLeavesTheRunIntact) {
+  // outcome() reports the run advanced so far; it must not stop the
+  // workload, so a peek half-way changes nothing about the whole run.
+  for (const std::string& name : scenario_names()) {
+    const ScenarioOutcome whole = find_scenario(name)->run(3);
+
+    auto runner = find_scenario(name);
+    runner->setup(3);
+    const SimTime h = runner->horizon();
+    runner->tick(SimTime::micros(h.count() / 2));
+    (void)runner->outcome();
+    runner->tick(h);
+    EXPECT_EQ(runner->outcome().metrics, whole.metrics) << name;
+  }
+}
 
 TEST(ScenarioRunner, ResetAllowsReconfigureAndRerun) {
   auto runner = find_scenario("teleop");
@@ -229,6 +388,21 @@ TEST(RouteScenarioDeathTest, ZeroNodesAbortsBeforeTheHeraldClamp) {
   cfg.disruption_at = SimTime::seconds(10);
   cfg.broadcast_invalidation = true;
   EXPECT_DEATH((void)run_route_scenario(cfg), "at least one sensor");
+}
+
+TEST(TeleopScenarioDeathTest, ChaosBurstIsClampedOffWithANotice) {
+  // The scenario owns its cellular loss model, so a chaos burst floor is
+  // dropped — with the documented notice, not silently. Run in a child so
+  // the clamp site's once-per-process notice flag is fresh.
+  TeleopScenarioConfig cfg;
+  cfg.chaos.burst = fault::GilbertElliottParams::for_average_loss(0.05, 4.0);
+  cfg.horizon = SimTime::seconds(30);
+  EXPECT_EXIT(
+      {
+        (void)run_teleop_scenario(cfg);
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(0), "teleop scenario owns the loss model");
 }
 
 TEST(TeleopScenario, ZeroRedundancyClampsToSinglePath) {
