@@ -13,11 +13,11 @@
 #include <vector>
 
 #include "athena/directory.h"
-#include "athena/messages.h"
 #include "athena/node.h"
 #include "common/log.h"
 #include "des/simulator.h"
 #include "net/network.h"
+#include "obs/trace.h"
 #include "world/dynamics.h"
 #include "world/grid_map.h"
 #include "world/sensor_field.h"
@@ -88,23 +88,12 @@ int main() {
   query.add_disjunct(decision::Conjunction{
       {decision::Term{LabelId{3}, false}, decision::Term{LabelId{4}, false}}});
 
-  // Trace the protocol hop by hop (the Fig. 1 walkthrough).
-  const char* node_names[] = {"depot", "relay", "north", "south"};
-  int edge = 0;
-  network.set_tracer([&](const net::TraceEvent& ev) {
-    if (ev.kind != net::TraceEvent::Kind::kDeliver) return;
-    const char* what = "?";
-    if (std::any_cast<athena::QueryAnnounce>(ev.payload)) what = "announce";
-    else if (std::any_cast<athena::ObjectRequest>(ev.payload)) what = "request";
-    else if (const auto* o = std::any_cast<athena::ObjectReply>(ev.payload)) {
-      what = o->prefetch_push ? "object (prefetch push)" : "object";
-    } else if (std::any_cast<athena::LabelShare>(ev.payload)) what = "labels";
-    else if (std::any_cast<athena::LabelReply>(ev.payload)) what = "labels";
-    std::printf("  edge %2d  t=%7.3fs  %-5s -> %-5s  %-22s %7llu B\n", ++edge,
-                ev.at.to_seconds(), node_names[ev.from.value()],
-                node_names[ev.to.value()], what,
-                static_cast<unsigned long long>(ev.bytes));
-  });
+  // Record every hop and protocol event in one ring (the Fig. 1 walkthrough).
+  obs::TraceSink::Options trace_opts;
+  trace_opts.ring_capacity = 256;
+  obs::TraceSink sink(trace_opts);
+  network.set_trace_sink(&sink);
+  for (auto& node : nodes) node->set_trace_sink(&sink);
 
   std::printf("Decision query issued at the depot:\n");
   std::printf("  (viable(s0) AND viable(s1)) OR (viable(s3) AND viable(s4))\n");
@@ -113,6 +102,59 @@ int main() {
   std::printf("message flow (cf. paper Fig. 1):\n");
   nodes[depot.value()]->query_init(std::move(query), SimTime::seconds(60));
   sim.run_until(SimTime::seconds(120));
+
+  // Hop events carry no message type: the protocol events printed beside
+  // them say what moved. Sends are skipped; each delivery is one edge.
+  const char* node_names[] = {"depot", "relay", "north", "south"};
+  int edge = 0;
+  for (const obs::Event& ev : sink.ring_snapshot()) {
+    const double t = ev.at.to_seconds();
+    const char* node = node_names[ev.node];
+    const auto subject = static_cast<unsigned long long>(ev.subject);
+    const auto bytes = static_cast<unsigned long long>(ev.bytes);
+    char what[96] = "";
+    switch (ev.kind) {
+      case obs::EventKind::kHopSend:
+        continue;
+      case obs::EventKind::kHopDeliver:
+        std::printf("  edge %2d  t=%7.3fs  %-5s -> %-5s %27llu B\n", ++edge,
+                    t, node, node_names[ev.subject], bytes);
+        continue;
+      case obs::EventKind::kQueryIssue:
+        std::snprintf(what, sizeof(what),
+                      "%llu labels, announced to its neighbours", subject);
+        break;
+      case obs::EventKind::kPlan:
+        std::snprintf(what, sizeof(what), "retrieval order over %llu labels",
+                      subject);
+        break;
+      case obs::EventKind::kFetch:
+        std::snprintf(what, sizeof(what),
+                      "requests cam%llu's object (%llu B request)", subject,
+                      bytes);
+        break;
+      case obs::EventKind::kInterest:
+        std::snprintf(what, sizeof(what), "forwards the request toward cam%llu",
+                      subject);
+        break;
+      case obs::EventKind::kLabelSettle:
+        std::snprintf(what, sizeof(what),
+                      "viable(s%llu) settled (evaluated at t=%.3fs)", subject,
+                      ev.value);
+        break;
+      case obs::EventKind::kObjectRx:
+        std::snprintf(what, sizeof(what), "cam%llu's object arrived (%llu B)",
+                      subject, bytes);
+        break;
+      case obs::EventKind::kDecide:
+        std::snprintf(what, sizeof(what), "chooses route %llu", subject);
+        break;
+      default:
+        break;
+    }
+    std::printf("           t=%7.3fs  %-5s %-13s %s\n", t, node,
+                obs::to_string(ev.kind), what);
+  }
   std::printf("\n");
 
   // --- what happened -------------------------------------------------------
@@ -137,7 +179,8 @@ int main() {
       "\nnote: the OR-level short-circuit rule tried the southern route\n"
       "first — cam1 covers both of its segments, so a single cheap object\n"
       "decides the whole query; the northern camera is never contacted.\n"
-      "The evaluated labels were then shared back toward the source\n"
-      "(edges 6-7), ready to answer future queries at the relay.\n");
+      "The settled labels were also shared back toward the source (the\n"
+      "two 200 B edges at the end), ready to answer future queries at the\n"
+      "relay.\n");
   return record.success ? 0 : 1;
 }

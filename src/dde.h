@@ -31,7 +31,6 @@
 #include "fusion/reliability.h"  // IWYU pragma: export
 #include "naming/name.h"         // IWYU pragma: export
 #include "naming/prefix_index.h" // IWYU pragma: export
-#include "net/name_routing.h"    // IWYU pragma: export
 #include "net/network.h"         // IWYU pragma: export
 #include "net/topology.h"        // IWYU pragma: export
 #include "pubsub/utility.h"      // IWYU pragma: export

@@ -4,11 +4,9 @@
 #include <string>
 #include <vector>
 
-#include "athena/obs_adapters.h"
 #include "obs/bench_report.h"
 #include "obs/histogram.h"
 #include "obs/json.h"
-#include "obs/metric_registry.h"
 #include "obs/trace.h"
 #include "scenario/route_scenario.h"
 
@@ -95,106 +93,6 @@ TEST(Histogram, MergeAddsCountsAndAdoptsBounds) {
   empty.merge(a);  // adopts a's bounds and counts
   EXPECT_EQ(empty.bounds(), a.bounds());
   EXPECT_EQ(empty.counts(), a.counts());
-}
-
-// ---------------------------------------------------------------------------
-// MetricRegistry + adapters
-// ---------------------------------------------------------------------------
-
-TEST(MetricRegistry, SerializationIsNameSorted) {
-  MetricRegistry reg;
-  reg.counter("z.last") = 3;
-  reg.counter("a.first") = 1;
-  reg.gauge("m.middle") = 0.5;
-  const std::string dumped = reg.to_json().dump();
-  EXPECT_LT(dumped.find("a.first"), dumped.find("z.last"));
-  EXPECT_EQ(reg.size(), 3u);
-}
-
-TEST(MetricRegistry, InternedHandlesShareCellsWithNamedAccessors) {
-  MetricRegistry reg;
-  CounterHandle packets = reg.intern_counter("net.packets");
-  GaugeHandle load = reg.intern_gauge("sched.load");
-  HistogramHandle lat = reg.intern_histogram("net.latency_s", {1.0, 10.0});
-
-  packets.inc();
-  packets.inc(4);
-  load.set(0.25);
-  load.add(0.5);
-  lat.observe(0.5);
-  lat.observe(5.0);
-
-  // Handle writes are visible through the string-keyed accessors...
-  EXPECT_EQ(reg.counter("net.packets"), 5u);
-  EXPECT_DOUBLE_EQ(reg.gauge("sched.load"), 0.75);
-  EXPECT_EQ(reg.histogram("net.latency_s").count(), 2u);
-  EXPECT_EQ(reg.histogram("net.latency_s").counts(),
-            (std::vector<std::uint64_t>{1, 1, 0}));
-  // ...and accessor writes are visible through the handles.
-  reg.counter("net.packets") += 10;
-  EXPECT_EQ(packets.value(), 15u);
-  reg.gauge("sched.load") = 2.0;
-  EXPECT_DOUBLE_EQ(load.value(), 2.0);
-  EXPECT_EQ(lat.histogram().count(), 2u);
-}
-
-TEST(MetricRegistry, InternedHandlesSurviveLaterRegistrations) {
-  // std::map nodes are pointer-stable: handles interned at wiring time must
-  // stay valid as other metrics register around them.
-  MetricRegistry reg;
-  CounterHandle first = reg.intern_counter("m.first");
-  first.inc();
-  for (int i = 0; i < 200; ++i) {
-    reg.counter("extra.counter." + std::to_string(i)) = 1;
-    reg.gauge("extra.gauge." + std::to_string(i)) = 1.0;
-  }
-  first.inc();
-  EXPECT_EQ(first.value(), 2u);
-  EXPECT_EQ(reg.counter("m.first"), 2u);
-  // Interning the same name twice yields the same cell.
-  CounterHandle again = reg.intern_counter("m.first");
-  again.inc();
-  EXPECT_EQ(first.value(), 3u);
-}
-
-TEST(MetricRegistry, InternedMetricsSerializeLikeNamedOnes) {
-  MetricRegistry reg;
-  reg.intern_counter("z.interned").inc(3);
-  reg.counter("a.named") = 1;
-  const std::string dumped = reg.to_json().dump();
-  EXPECT_NE(dumped.find("\"z.interned\":3"), std::string::npos);
-  EXPECT_LT(dumped.find("a.named"), dumped.find("z.interned"));
-  EXPECT_EQ(reg.size(), 2u);
-}
-
-TEST(MetricRegistry, AdaptersPublishEveryStruct) {
-  MetricRegistry reg;
-
-  athena::AthenaMetrics m;
-  m.queries_issued = 10;
-  m.queries_resolved = 9;
-  m.object_bytes = 1234;
-  publish(reg, m);
-  EXPECT_EQ(reg.counter("athena.queries_issued"), 10u);
-  EXPECT_DOUBLE_EQ(reg.gauge("athena.resolution_ratio"), 0.9);
-
-  net::TrafficStats t;
-  t.packets = 7;
-  t.dropped = 2;
-  publish(reg, t);
-  EXPECT_EQ(reg.counter("net.packets"), 7u);
-
-  cache::CacheStats c;
-  c.hits = 3;
-  c.misses = 1;
-  c.refreshes = 5;
-  c.expired_drops = 2;
-  c.invalidated = 4;
-  publish(reg, c, "cache.object.");
-  EXPECT_EQ(reg.counter("cache.object.refreshes"), 5u);
-  EXPECT_EQ(reg.counter("cache.object.expired_drops"), 2u);
-  EXPECT_EQ(reg.counter("cache.object.invalidated"), 4u);
-  EXPECT_DOUBLE_EQ(reg.gauge("cache.object.hit_ratio"), 0.75);
 }
 
 // ---------------------------------------------------------------------------
@@ -388,6 +286,44 @@ TEST(TraceSink, TracedRunsAreDeterministic) {
   const std::string first = run();
   EXPECT_FALSE(first.empty());
   EXPECT_EQ(run(), first);
+}
+
+TEST(TraceSink, HopStreamConservesPackets) {
+  // The hop stream is the network's one per-packet observation path: under
+  // churn, flaps, loss, and queue evictions, every accepted send shows up as
+  // exactly one hop_send, and once the run drains each one ends as exactly
+  // one hop_deliver or one counted drop.
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    scenario::ScenarioConfig cfg;
+    cfg.seed = seed;
+    cfg.run_to_quiescence = true;
+    cfg.packet_loss = 0.05;
+    cfg.link_queue_max_packets = 2;
+    cfg.chaos.window_start = SimTime::seconds(20);
+    cfg.chaos.window_end = SimTime::seconds(260);
+    cfg.chaos.crashes_per_node_min = 0.2;
+    cfg.chaos.flaps_per_link_min = 0.1;
+    cfg.chaos.restart_policy = fault::RestartPolicy::kCold;
+    TraceSink::Options opts;
+    opts.derive = false;
+    TraceSink sink(opts);
+    cfg.trace_sink = &sink;
+    const auto result = scenario::run_route_scenario(cfg);
+
+    const auto count = [&](EventKind kind) {
+      return sink.kind_counts()[static_cast<std::size_t>(kind)];
+    };
+    const std::uint64_t sends = count(EventKind::kHopSend);
+    const std::uint64_t delivers = count(EventKind::kHopDeliver);
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    // The scenario really exercised every loss path.
+    EXPECT_GT(result.traffic.link_down_drops, 0u);
+    EXPECT_GT(result.traffic.queue_drops, 0u);
+    EXPECT_GT(result.traffic.dropped,
+              result.traffic.link_down_drops + result.traffic.queue_drops);
+    EXPECT_EQ(sends, result.traffic.packets);
+    EXPECT_EQ(sends, delivers + result.traffic.dropped);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -7,11 +7,11 @@
 // A run prints the effective spec (after --set overlays) followed by the
 // outcome metrics, both in sorted key order — two runs with equal spec and
 // seed print byte-identical output.
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
+#include <system_error>
 
 #include "scenario/runner.h"
 #include "scenario/spec.h"
@@ -51,7 +51,17 @@ int main(int argc, char** argv) {
     } else if (arg == "--scenario" && i + 1 < argc) {
       name = argv[++i];
     } else if (arg == "--seed" && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
+      // The whole argument must be one decimal uint64: no sign, no
+      // whitespace, no trailing text, no overflow.
+      const std::string text = argv[++i];
+      const char* end = text.data() + text.size();
+      const auto [ptr, ec] = std::from_chars(text.data(), end, seed);
+      if (ec != std::errc{} || ptr != end) {
+        std::fprintf(stderr,
+                     "--seed expects a non-negative integer, got '%s'\n",
+                     text.c_str());
+        return 2;
+      }
     } else if (arg == "--set" && i + 1 < argc) {
       const std::string kv = argv[++i];
       const std::size_t eq = kv.find('=');
