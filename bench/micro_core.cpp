@@ -253,7 +253,7 @@ void BM_FlatU64MapChurn(benchmark::State& state) {
   FlatU64Map<std::uint64_t> m(4096);
   Rng rng(13);
   std::uint64_t k = 0;
-  for (int i = 0; i < 4096; ++i) m.insert(k++, k);
+  for (; k < 4096; ++k) m.insert(k, k);
   for (auto _ : state) {
     m.insert(k, k);
     benchmark::DoNotOptimize(m.find(k - rng.below(4096)));

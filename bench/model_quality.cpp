@@ -64,7 +64,7 @@ LabelValue value_of(LabelId l, bool truth_value) {
 
 /// Adaptive evaluation cost in one sampled world under `meta`'s beliefs,
 /// optionally reporting resolved labels to `learn`.
-double run_world(const Workload& w, const MetaFn& meta, Rng& rng,
+double run_world(const Workload& w, MetaRef meta, Rng& rng,
                  PriorEstimator* learn) {
   std::vector<bool> world(w.n_labels);
   for (std::size_t i = 0; i < w.n_labels; ++i) world[i] = rng.chance(w.p[i]);
@@ -136,7 +136,7 @@ void learning(int batches, int per_batch) {
     flat.set(LabelId{i}, m);
   }
   PriorEstimator estimator;
-  const MetaFn learned = estimator.overlay(flat.fn());
+  const auto learned = estimator.overlay(flat.fn());
   Rng rng(29);
   double true_total = 0;
   int true_n = 0;

@@ -166,18 +166,17 @@ bool AthenaNode::prefetch_mark_seen(std::uint64_t key) {
 // The origin-side query engine
 // ---------------------------------------------------------------------------
 
-decision::MetaFn AthenaNode::make_meta(const QueryState& q) const {
-  return [this, &q](LabelId label) {
-    SourceId source;
-    if (auto it = q.selection.designated.find(label);
-        it != q.selection.designated.end()) {
-      source = it->second;
-    } else if (const auto& srcs = directory_.sources_for(label); !srcs.empty()) {
-      source = srcs.front();
-    }
-    if (!source.valid()) return decision::LabelMeta{};
-    return directory_.meta(label, source, id_);
-  };
+decision::LabelMeta AthenaNode::label_meta(const QueryState& q,
+                                           LabelId label) const {
+  SourceId source;
+  if (auto it = q.selection.designated.find(label);
+      it != q.selection.designated.end()) {
+    source = it->second;
+  } else if (const auto& srcs = directory_.sources_for(label); !srcs.empty()) {
+    source = srcs.front();
+  }
+  if (!source.valid()) return decision::LabelMeta{};
+  return directory_.meta(label, source, id_);
 }
 
 std::vector<decision::LabelValue> AthenaNode::annotate(
@@ -390,7 +389,9 @@ void AthenaNode::advance(QueryState& q) {
       finish(q, true);
       return;
     }
-    const auto meta = make_meta(q);
+    const auto meta = [this, &q](LabelId label) {
+      return label_meta(q, label);
+    };
     const auto order = decision::plan_retrieval_order(
         q.expr, q.assignment, now, meta, config_.order, q.deadline_abs);
     if (order.empty()) return;  // nothing actionable (uncovered labels)

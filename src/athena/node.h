@@ -304,8 +304,9 @@ class AthenaNode {
     return directory_.host(source) == id_;
   }
 
-  /// Planner metadata bound to a query's designated sources.
-  [[nodiscard]] decision::MetaFn make_meta(const QueryState& q) const;
+  /// Planner metadata for `label` from the query's designated source.
+  [[nodiscard]] decision::LabelMeta label_meta(const QueryState& q,
+                                               LabelId label) const;
 
   /// Live state for `qid`, or nullptr if unknown or already retired.
   [[nodiscard]] QueryState* lookup_query(QueryId qid);

@@ -4,8 +4,8 @@
 //
 // A PriorEstimator keeps a Beta posterior per label over P(label = true),
 // updated every time a label value is actually resolved. Its estimates can
-// be layered over any MetaFn, replacing the configured p_true with the
-// learned one — so planners improve as the system observes the world.
+// be layered over any metadata source, replacing the configured p_true with
+// the learned one — so planners improve as the system observes the world.
 #pragma once
 
 #include <unordered_map>
@@ -43,11 +43,11 @@ class PriorEstimator {
     return it == counts_.end() ? 0.0 : it->second.pos + it->second.neg;
   }
 
-  /// A MetaFn that overrides `base`'s p_true with the learned estimate
-  /// (cost/latency/validity pass through). The estimator must outlive the
-  /// returned function.
-  [[nodiscard]] MetaFn overlay(MetaFn base) const {
-    return [this, base = std::move(base)](LabelId label) {
+  /// Metadata that overrides `base`'s p_true with the learned estimate
+  /// (cost/latency/validity pass through). The estimator and whatever
+  /// `base` refers to must outlive the returned callable.
+  [[nodiscard]] auto overlay(MetaRef base) const {
+    return [this, base](LabelId label) {
       LabelMeta m = base(label);
       m.p_true = p_true(label);
       return m;

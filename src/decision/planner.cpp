@@ -1,130 +1,194 @@
 #include "decision/planner.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <cstdint>
+#include <numeric>
 
-#include "decision/ordering.h"
+#include "common/flat_hash.h"
+#include "decision/scored_term.h"
 
 namespace dde::decision {
 namespace {
 
-/// Unknown-valued terms of disjunct `i` (each label listed once).
-std::vector<Term> unknown_terms(const DnfExpr& expr, std::size_t i,
-                                const Assignment& a, SimTime now) {
-  std::vector<Term> out;
-  std::unordered_set<LabelId> seen;
-  for (const Term& t : expr.disjuncts()[i].terms) {
-    if (DnfExpr::eval_term(t, a, now) != Tristate::kUnknown) continue;
-    if (seen.insert(t.label).second) out.push_back(t);
-  }
-  return out;
-}
+/// One plan's view of the expression under the current assignment: the
+/// unknown terms of every open disjunct (each label listed once per
+/// disjunct), and the distinct labels among them in first-appearance order
+/// (DnfExpr::relevant_labels' order).
+struct OpenTerms {
+  bool resolved = false;
+  std::vector<LabelId> labels;
+  std::vector<Term> terms;           ///< open disjuncts' terms, concatenated
+  std::vector<std::uint32_t> slots;  ///< terms[k]'s index into labels
+  std::vector<std::size_t> ends;     ///< one past each open disjunct's terms
+};
 
-/// Disjunct indexes still unknown, ordered by the OR short-circuit rule
-/// (success probability of remaining terms per unit remaining expected
-/// cost, descending).
-std::vector<std::size_t> order_open_disjuncts(const DnfExpr& expr,
-                                              const Assignment& a,
-                                              SimTime now, const MetaFn& meta,
-                                              bool score) {
-  struct Open {
-    std::size_t index;
-    double success;
-    double ecost;
+/// One pass over the expression: each term is evaluated once.
+OpenTerms collect_open_terms(const DnfExpr& expr, const Assignment& a,
+                             SimTime now) {
+  OpenTerms out;
+  std::size_t term_count = 0;
+  for (const Conjunction& c : expr.disjuncts()) term_count += c.terms.size();
+  struct Seen {
+    std::uint32_t slot = 0;
+    std::size_t disjunct = 0;  ///< last disjunct that listed the label
   };
-  std::vector<Open> open;
+  FlatU64Map<Seen> seen(term_count);
+  out.labels.reserve(term_count);
+  out.terms.reserve(term_count);
+  out.slots.reserve(term_count);
+  out.ends.reserve(expr.disjunct_count());
+  std::vector<Term> unknown;
+  bool all_false = true;
   for (std::size_t i = 0; i < expr.disjunct_count(); ++i) {
-    if (expr.eval_disjunct(i, a, now) != Tristate::kUnknown) continue;
-    const auto terms = unknown_terms(expr, i, a, now);
-    const auto ordered = score ? order_conjunction(Conjunction{terms}, meta)
-                               : terms;
-    open.push_back(Open{i, conjunction_success_prob(ordered, meta),
-                        expected_conjunction_cost(ordered, meta)});
+    // Kleene AND of the disjunct, keeping its unknown terms.
+    unknown.clear();
+    Tristate value = Tristate::kTrue;
+    for (const Term& t : expr.disjuncts()[i].terms) {
+      const Tristate v = DnfExpr::eval_term(t, a, now);
+      if (v == Tristate::kFalse) {
+        value = Tristate::kFalse;
+        break;
+      }
+      if (v == Tristate::kUnknown) {
+        value = Tristate::kUnknown;
+        unknown.push_back(t);
+      }
+    }
+    if (value == Tristate::kTrue) {  // a viable course of action exists
+      out.resolved = true;
+      return out;
+    }
+    if (value == Tristate::kFalse) continue;
+    all_false = false;
+    for (const Term& t : unknown) {
+      std::uint32_t slot = 0;
+      if (Seen* s = seen.find(t.label.value())) {
+        if (s->disjunct == i) continue;  // listed earlier in this disjunct
+        s->disjunct = i;
+        slot = s->slot;
+      } else {
+        slot = static_cast<std::uint32_t>(out.labels.size());
+        seen.insert(t.label.value(), Seen{slot, i});
+        out.labels.push_back(t.label);
+      }
+      out.terms.push_back(t);
+      out.slots.push_back(slot);
+    }
+    out.ends.push_back(out.terms.size());
   }
-  if (score) {
-    std::stable_sort(open.begin(), open.end(), [](const Open& x, const Open& y) {
-      return x.success * std::max(y.ecost, 1e-12) >
-             y.success * std::max(x.ecost, 1e-12);
-    });
-  }
-  std::vector<std::size_t> out;
-  out.reserve(open.size());
-  for (const auto& o : open) out.push_back(o.index);
+  out.resolved = all_false;
   return out;
 }
 
-void append_unique(std::vector<LabelId>& order,
-                   std::unordered_set<LabelId>& seen,
-                   const std::vector<Term>& terms) {
-  for (const Term& t : terms) {
-    if (seen.insert(t.label).second) order.push_back(t.label);
+/// `open.labels`, stably sorted by `before` over their metadata.
+template <typename Before>
+std::vector<LabelId> sort_labels(const OpenTerms& open,
+                                 const std::vector<LabelMeta>& metas,
+                                 Before before) {
+  std::vector<std::uint32_t> idx(open.labels.size());
+  std::iota(idx.begin(), idx.end(), std::uint32_t{0});
+  std::stable_sort(idx.begin(), idx.end(),
+                   [&](std::uint32_t x, std::uint32_t y) {
+                     return before(metas[x], metas[y]);
+                   });
+  std::vector<LabelId> out;
+  out.reserve(idx.size());
+  for (std::uint32_t k : idx) out.push_back(open.labels[k]);
+  return out;
+}
+
+/// Decision-driven orders: pick open disjuncts by the OR rule (success
+/// probability of the remaining terms per unit remaining expected cost,
+/// descending), and emit each one's remaining terms in the AND-rule order
+/// (kShortCircuit) or validity-first with cost-improving rearrangements
+/// that stay freshness-feasible for the deadline (kVariationalLvf).
+std::vector<LabelId> order_by_disjunct(const OpenTerms& open,
+                                       const std::vector<LabelMeta>& metas,
+                                       OrderPolicy policy, SimTime now,
+                                       SimTime deadline) {
+  struct Open {
+    std::vector<ScoredTerm> terms;          ///< declaration order
+    std::vector<ScoredTerm> by_efficiency;  ///< order_conjunction's order
+    double success = 0.0;
+    double ecost = 0.0;
+  };
+  std::vector<Open> disjuncts;
+  disjuncts.reserve(open.ends.size());
+  std::size_t begin = 0;
+  for (const std::size_t end : open.ends) {
+    Open d;
+    d.terms.reserve(end - begin);
+    for (std::size_t k = begin; k < end; ++k) {
+      d.terms.push_back(score_term(open.terms[k], metas[open.slots[k]]));
+    }
+    d.by_efficiency = d.terms;
+    sort_by_efficiency(d.by_efficiency);
+    d.success = success_prob(d.by_efficiency);
+    d.ecost = expected_cost(d.by_efficiency);
+    disjuncts.push_back(std::move(d));
+    begin = end;
   }
+  std::stable_sort(disjuncts.begin(), disjuncts.end(),
+                   [](const Open& x, const Open& y) {
+                     return x.success * std::max(y.ecost, 1e-12) >
+                            y.success * std::max(x.ecost, 1e-12);
+                   });
+  std::vector<LabelId> order;
+  order.reserve(open.labels.size());
+  FlatU64Set emitted(open.labels.size());
+  for (Open& d : disjuncts) {
+    std::vector<ScoredTerm>* terms = &d.by_efficiency;
+    if (policy == OrderPolicy::kVariationalLvf) {
+      variational_lvf(d.terms, now, deadline);
+      terms = &d.terms;
+    }
+    for (const ScoredTerm& s : *terms) {
+      if (emitted.insert(s.term.label.value())) order.push_back(s.term.label);
+    }
+  }
+  return order;
 }
 
 }  // namespace
 
 std::vector<LabelId> plan_retrieval_order(const DnfExpr& expr,
                                           const Assignment& assignment,
-                                          SimTime now, const MetaFn& meta,
+                                          SimTime now, MetaRef meta,
                                           OrderPolicy policy,
                                           SimTime deadline) {
-  if (expr.resolved(assignment, now)) return {};
+  OpenTerms open = collect_open_terms(expr, assignment, now);
+  if (open.resolved) return {};
+  if (policy == OrderPolicy::kDeclared) return std::move(open.labels);
+
+  // Every other policy ranks all relevant labels: read each one's metadata
+  // once, up front, and order on these values.
+  std::vector<LabelMeta> metas;
+  metas.reserve(open.labels.size());
+  for (LabelId l : open.labels) metas.push_back(meta(l));
 
   switch (policy) {
     case OrderPolicy::kDeclared:
-      return expr.relevant_labels(assignment, now);
-
-    case OrderPolicy::kCheapestFirst: {
-      auto labels = expr.relevant_labels(assignment, now);
-      std::stable_sort(labels.begin(), labels.end(),
-                       [&](LabelId a, LabelId b) {
-                         return meta(a).cost < meta(b).cost;
-                       });
-      return labels;
-    }
-
-    case OrderPolicy::kShortCircuit: {
-      std::vector<LabelId> order;
-      std::unordered_set<LabelId> seen;
-      for (std::size_t i :
-           order_open_disjuncts(expr, assignment, now, meta, /*score=*/true)) {
-        const auto terms = unknown_terms(expr, i, assignment, now);
-        append_unique(order, seen, order_conjunction(Conjunction{terms}, meta));
-      }
-      return order;
-    }
-
-    case OrderPolicy::kLongestValidityFirst: {
-      auto labels = expr.relevant_labels(assignment, now);
-      std::stable_sort(labels.begin(), labels.end(),
-                       [&](LabelId a, LabelId b) {
-                         return meta(a).validity > meta(b).validity;
-                       });
-      return labels;
-    }
-
-    case OrderPolicy::kVariationalLvf: {
-      // Decision-driven: pick disjuncts by the OR rule, then order each
-      // disjunct's remaining terms validity-first with cost-improving
-      // rearrangements that stay freshness-feasible for the deadline.
-      std::vector<LabelId> order;
-      std::unordered_set<LabelId> seen;
-      for (std::size_t i :
-           order_open_disjuncts(expr, assignment, now, meta, /*score=*/true)) {
-        const auto terms = unknown_terms(expr, i, assignment, now);
-        append_unique(order, seen,
-                      variational_lvf_order(Conjunction{terms}, meta, now,
-                                            deadline));
-      }
-      return order;
-    }
+      break;
+    case OrderPolicy::kCheapestFirst:
+      return sort_labels(open, metas,
+                         [](const LabelMeta& x, const LabelMeta& y) {
+                           return x.cost < y.cost;
+                         });
+    case OrderPolicy::kLongestValidityFirst:
+      return sort_labels(open, metas,
+                         [](const LabelMeta& x, const LabelMeta& y) {
+                           return x.validity > y.validity;
+                         });
+    case OrderPolicy::kShortCircuit:
+    case OrderPolicy::kVariationalLvf:
+      return order_by_disjunct(open, metas, policy, now, deadline);
   }
   return {};
 }
 
 std::optional<LabelId> next_label(const DnfExpr& expr,
                                   const Assignment& assignment, SimTime now,
-                                  const MetaFn& meta, OrderPolicy policy,
+                                  MetaRef meta, OrderPolicy policy,
                                   SimTime deadline) {
   const auto order =
       plan_retrieval_order(expr, assignment, now, meta, policy, deadline);

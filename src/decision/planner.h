@@ -31,15 +31,18 @@ enum class OrderPolicy {
 ///
 /// `deadline` bounds feasibility checks for validity-aware policies (pass
 /// SimTime::max() when there is none).
+///
+/// One call reads each relevant label's metadata at most once (the values
+/// are taken to be fixed for the call); kDeclared reads none.
 [[nodiscard]] std::vector<LabelId> plan_retrieval_order(
     const DnfExpr& expr, const Assignment& assignment, SimTime now,
-    const MetaFn& meta, OrderPolicy policy,
+    MetaRef meta, OrderPolicy policy,
     SimTime deadline = SimTime::max());
 
 /// First element of plan_retrieval_order, or nullopt if resolved.
 [[nodiscard]] std::optional<LabelId> next_label(
     const DnfExpr& expr, const Assignment& assignment, SimTime now,
-    const MetaFn& meta, OrderPolicy policy,
+    MetaRef meta, OrderPolicy policy,
     SimTime deadline = SimTime::max());
 
 }  // namespace dde::decision

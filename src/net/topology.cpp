@@ -12,6 +12,7 @@ namespace dde::net {
 NodeId Topology::add_node() {
   routes_valid_ = false;
   out_links_.emplace_back();
+  in_links_.emplace_back();
   return NodeId{node_count_++};
 }
 
@@ -30,9 +31,11 @@ std::pair<LinkId, LinkId> Topology::add_link(NodeId a, NodeId b,
   const LinkId ab{links_.size()};
   links_.push_back(Link{ab, a, b, bandwidth_bps, latency});
   out_links_[a.value()].push_back(ab);
+  in_links_[b.value()].push_back(ab);
   const LinkId ba{links_.size()};
   links_.push_back(Link{ba, b, a, bandwidth_bps, latency});
   out_links_[b.value()].push_back(ba);
+  in_links_[a.value()].push_back(ba);
   return {ab, ba};
 }
 
@@ -73,14 +76,23 @@ void Topology::compute_routes(const std::vector<char>& link_enabled) {
   const std::size_t n = node_count_;
   next_hop_.assign(n * n, NodeId{});
   hops_.assign(n * n, std::numeric_limits<std::size_t>::max());
+  // Link delay of a nominal 1 KB packet.
+  std::vector<double> weight;
+  weight.reserve(links_.size());
+  for (const Link& l : links_) {
+    weight.push_back(l.latency.to_seconds() + 1024.0 * 8.0 / l.bandwidth_bps);
+  }
+  std::vector<double> dist(n);
+  std::vector<std::size_t> hops(n);
+  std::vector<NodeId> next(n);
+  using Item = std::pair<double, std::size_t>;
+  std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
   // Dijkstra from every destination over reversed edges, so a single pass
   // yields next hops toward that destination from every node.
   for (std::size_t dest = 0; dest < n; ++dest) {
-    std::vector<double> dist(n, std::numeric_limits<double>::infinity());
-    std::vector<std::size_t> hops(n, std::numeric_limits<std::size_t>::max());
-    std::vector<NodeId> next(n, NodeId{});
-    using Item = std::pair<double, std::size_t>;
-    std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
+    dist.assign(n, std::numeric_limits<double>::infinity());
+    hops.assign(n, std::numeric_limits<std::size_t>::max());
+    next.assign(n, NodeId{});
     dist[dest] = 0.0;
     hops[dest] = 0;
     next[dest] = NodeId{dest};
@@ -89,13 +101,13 @@ void Topology::compute_routes(const std::vector<char>& link_enabled) {
       const auto [d, u] = pq.top();
       pq.pop();
       if (d > dist[u]) continue;
-      // Relax incoming edges v→u: from v, going through u gets closer.
-      for (const Link& l : links_) {
-        if (l.to.value() != u) continue;
-        if (!link_enabled.empty() && !link_enabled[l.id.value()]) continue;
-        const std::size_t v = l.from.value();
-        const double w =
-            l.latency.to_seconds() + 1024.0 * 8.0 / l.bandwidth_bps;
+      // Relax incoming edges v→u: from v, going through u gets closer. The
+      // in-links are in link-id order, so ties between equal-delay paths
+      // break exactly as a scan over all links would.
+      for (LinkId id : in_links_[u]) {
+        if (!link_enabled.empty() && !link_enabled[id.value()]) continue;
+        const double w = weight[id.value()];
+        const std::size_t v = links_[id.value()].from.value();
         if (dist[u] + w < dist[v]) {
           dist[v] = dist[u] + w;
           hops[v] = hops[u] + 1;

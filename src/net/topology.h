@@ -76,6 +76,8 @@ class Topology {
   std::size_t node_count_ = 0;
   std::vector<Link> links_;
   std::vector<std::vector<LinkId>> out_links_;  // per node
+  // per node, in link-id order: the links compute_routes relaxes
+  std::vector<std::vector<LinkId>> in_links_;
   // next_hop_[from * node_count_ + dest] (kInvalid if unreachable)
   std::vector<NodeId> next_hop_;
   std::vector<std::size_t> hops_;

@@ -152,7 +152,9 @@ TEST(FlatU64Set, TombstoneChurnStaysCorrect) {
   constexpr std::uint64_t kWindow = 16;
   for (std::uint64_t k = 0; k < 10000; ++k) {
     ASSERT_TRUE(s.insert(k));
-    if (k >= kWindow) ASSERT_TRUE(s.erase(k - kWindow));
+    if (k >= kWindow) {
+      ASSERT_TRUE(s.erase(k - kWindow));
+    }
   }
   EXPECT_EQ(s.size(), kWindow);
   for (std::uint64_t k = 10000 - kWindow; k < 10000; ++k) {

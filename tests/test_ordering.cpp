@@ -20,7 +20,7 @@ class MetaFixture {
            SimTime validity = SimTime::seconds(100)) {
     table_.set(LabelId{l}, LabelMeta{cost, latency, p, validity});
   }
-  [[nodiscard]] MetaFn fn() const { return table_.fn(); }
+  [[nodiscard]] MetaRef fn() const { return table_.fn(); }
 
  private:
   MetaTable table_;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <map>
 #include <set>
 #include <vector>
 
@@ -250,6 +252,113 @@ TEST(Planner, ShortCircuitFetchesNoMoreThanDeclaredOnAverage) {
   EXPECT_LT(sc_total, dec_total);
 }
 
+// A random planning problem: a DNF over up to 12 labels with repeated and
+// negated terms; random metadata, where a third of the labels share one
+// cost, success probability and validity so the stable sorts' tie order is
+// exercised; a partial assignment with some values already expired at
+// `now`; and a deadline that is often tight enough to make the freshness
+// checks bite.
+struct RandomPlan {
+  DnfExpr expr;
+  MetaTable meta;
+  Assignment assignment;
+  SimTime now;
+  SimTime deadline;
+};
+
+RandomPlan random_plan(Rng& rng) {
+  RandomPlan p;
+  const std::size_t n = 1 + rng.below(12);
+  for (std::size_t d = 0, k = 1 + rng.below(5); d < k; ++d) {
+    Conjunction c;
+    for (std::size_t t = 0, m = 1 + rng.below(6); t < m; ++t) {
+      c.terms.push_back(Term{LabelId{rng.below(n)}, rng.chance(0.2)});
+    }
+    p.expr.add_disjunct(std::move(c));
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const bool tie = rng.chance(0.3);
+    p.meta.set(LabelId{i},
+               LabelMeta{tie ? 1.0 : rng.uniform(0.5, 5.0),
+                         SimTime::seconds(rng.uniform(0.1, 5.0)),
+                         tie ? 0.5 : rng.uniform(0.05, 0.95),
+                         tie ? SimTime::seconds(30)
+                             : SimTime::seconds(rng.uniform(1.0, 60.0))});
+    if (rng.chance(0.3)) {
+      LabelValue v = val(i, rng.chance(0.5) ? Tristate::kTrue
+                                            : Tristate::kFalse);
+      v.validity = SimTime::seconds(rng.uniform(1.0, 20.0));
+      p.assignment.set(v);
+    }
+  }
+  p.now = SimTime::seconds(rng.uniform(0.0, 10.0));
+  p.deadline = rng.chance(0.2) ? SimTime::max()
+                               : p.now + SimTime::seconds(rng.uniform(1, 40));
+  return p;
+}
+
+const std::vector<OrderPolicy> kAllPolicies{
+    OrderPolicy::kDeclared, OrderPolicy::kCheapestFirst,
+    OrderPolicy::kShortCircuit, OrderPolicy::kLongestValidityFirst,
+    OrderPolicy::kVariationalLvf};
+
+// One plan reads each relevant label's metadata at most once, and the
+// declaration-order baseline reads none.
+TEST(Planner, ReadsEachLabelMetadataAtMostOnce) {
+  Rng rng(11);
+  for (int trial = 0; trial < 200; ++trial) {
+    const RandomPlan p = random_plan(rng);
+    for (OrderPolicy policy : kAllPolicies) {
+      std::map<LabelId, int> reads;
+      const auto counting = [&](LabelId label) {
+        ++reads[label];
+        return p.meta.get(label);
+      };
+      const auto order = plan_retrieval_order(
+          p.expr, p.assignment, p.now, counting, policy, p.deadline);
+      EXPECT_EQ(order, plan_retrieval_order(p.expr, p.assignment, p.now,
+                                            p.meta.fn(), policy, p.deadline));
+      if (policy == OrderPolicy::kDeclared) {
+        EXPECT_TRUE(reads.empty());
+        EXPECT_EQ(order, p.expr.relevant_labels(p.assignment, p.now));
+        continue;
+      }
+      for (const auto& [label, count] : reads) {
+        EXPECT_EQ(count, 1) << "label " << label.value() << ", policy "
+                            << static_cast<int>(policy);
+      }
+    }
+  }
+}
+
+// Every policy's orders on 200 random problems, folded into one FNV-1a
+// digest. The constant was captured from the planner that re-read metadata
+// through a callback on every comparison; the per-plan table must
+// reproduce those orders exactly.
+TEST(PlannerGolden, OrdersMatchDigest) {
+  std::uint64_t digest = 14695981039346656037ULL;
+  const auto fold = [&](std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      digest ^= (v >> (8 * byte)) & 0xff;
+      digest *= 1099511628211ULL;
+    }
+  };
+  Rng rng(2017);
+  std::size_t labels_planned = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const RandomPlan p = random_plan(rng);
+    for (OrderPolicy policy : kAllPolicies) {
+      const auto order = plan_retrieval_order(
+          p.expr, p.assignment, p.now, p.meta.fn(), policy, p.deadline);
+      fold(order.size());
+      for (LabelId l : order) fold(l.value());
+      labels_planned += order.size();
+    }
+  }
+  EXPECT_GT(labels_planned, 1000u);  // the problems are not mostly resolved
+  EXPECT_EQ(digest, 0xc233c1f618139b02ULL);
+}
+
 TEST(PriorEstimator, UninformativeStart) {
   PriorEstimator e;
   EXPECT_DOUBLE_EQ(e.p_true(LabelId{0}), 0.5);
@@ -318,7 +427,7 @@ TEST(PriorEstimator, LearnedPriorsReduceAdaptiveCost) {
     e.add_disjunct(std::move(c));
   }
   PriorEstimator est;
-  auto run = [&](const MetaFn& meta, Rng& wrng, bool learn) {
+  auto run = [&](const auto& meta, Rng& wrng, bool learn) {
     Assignment a;
     double cost = 0;
     while (auto next = next_label(e, a, SimTime::zero(), meta,

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <optional>
+#include <queue>
 #include <vector>
+
+#include "common/rng.h"
 
 namespace dde::net {
 namespace {
@@ -178,6 +183,104 @@ TEST(Topology, ComputeRoutesWithDisabledLinksRoutesAround) {
   // An empty mask means "all enabled" and matches a plain recompute.
   t.compute_routes(std::vector<char>());
   EXPECT_EQ(t.hop_distance(n[0], n[2]), 2u);
+}
+
+/// Reference routes: the original compute_routes, which relaxes a popped
+/// node's incoming links by scanning every link in id order. Returns
+/// next_hop and hop_distance for each (from, dest) pair, row-major.
+struct OracleRoutes {
+  std::vector<std::optional<NodeId>> next;
+  std::vector<std::optional<std::size_t>> hops;
+};
+
+OracleRoutes oracle_routes(const Topology& t,
+                           const std::vector<char>& link_enabled) {
+  const std::size_t n = t.node_count();
+  OracleRoutes out;
+  out.next.resize(n * n);
+  out.hops.resize(n * n);
+  for (std::size_t dest = 0; dest < n; ++dest) {
+    std::vector<double> dist(n, std::numeric_limits<double>::infinity());
+    std::vector<std::size_t> hops(n, std::numeric_limits<std::size_t>::max());
+    std::vector<NodeId> next(n, NodeId{});
+    using Item = std::pair<double, std::size_t>;
+    std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
+    dist[dest] = 0.0;
+    hops[dest] = 0;
+    next[dest] = NodeId{dest};
+    pq.emplace(0.0, dest);
+    while (!pq.empty()) {
+      const auto [d, u] = pq.top();
+      pq.pop();
+      if (d > dist[u]) continue;
+      for (const Link& l : t.links()) {
+        if (l.to.value() != u) continue;
+        if (!link_enabled.empty() && !link_enabled[l.id.value()]) continue;
+        const std::size_t v = l.from.value();
+        const double w =
+            l.latency.to_seconds() + 1024.0 * 8.0 / l.bandwidth_bps;
+        if (dist[u] + w < dist[v]) {
+          dist[v] = dist[u] + w;
+          hops[v] = hops[u] + 1;
+          next[v] = NodeId{u};
+          pq.emplace(dist[v], v);
+        }
+      }
+    }
+    for (std::size_t from = 0; from < n; ++from) {
+      if (next[from].valid()) out.next[from * n + dest] = next[from];
+      if (hops[from] != std::numeric_limits<std::size_t>::max()) {
+        out.hops[from * n + dest] = hops[from];
+      }
+    }
+  }
+  return out;
+}
+
+// compute_routes must pick exactly the oracle's next hop and hop count for
+// every pair, under every link mask: the relaxation order decides between
+// equal-delay paths, and this grid of bandwidths and latencies makes such
+// ties common (as do parallel links between one pair of nodes).
+TEST(Topology, RoutesMatchAllLinksScanOracle) {
+  Rng rng(404);
+  const double bandwidths[] = {5e5, 1e6, 2e6};
+  const SimTime latencies[] = {SimTime::millis(1), SimTime::millis(2),
+                               SimTime::millis(4)};
+  for (int trial = 0; trial < 60; ++trial) {
+    Topology t;
+    const std::size_t n = 1 + rng.below(24);
+    for (std::size_t i = 0; i < n; ++i) t.add_node();
+    for (std::size_t k = 0, m = rng.below(3 * n + 1); k < m && n > 1; ++k) {
+      const std::size_t a = rng.below(n);
+      const std::size_t b = (a + 1 + rng.below(n - 1)) % n;
+      t.add_link(NodeId{a}, NodeId{b}, bandwidths[rng.below(3)],
+                 latencies[rng.below(3)]);
+    }
+    std::vector<std::vector<char>> masks;
+    masks.emplace_back();                              // all enabled
+    masks.emplace_back(t.link_count(), 0);             // all disabled
+    masks.emplace_back(t.link_count(), 1);             // explicit all-on
+    for (double p : {0.3, 0.7, 0.9}) {
+      std::vector<char> mask(t.link_count());
+      for (char& on : mask) on = rng.chance(p) ? 1 : 0;
+      masks.push_back(std::move(mask));
+    }
+    for (const auto& mask : masks) {
+      t.compute_routes(mask);
+      const OracleRoutes want = oracle_routes(t, mask);
+      for (std::size_t from = 0; from < n; ++from) {
+        for (std::size_t dest = 0; dest < n; ++dest) {
+          SCOPED_TRACE(::testing::Message()
+                       << "trial " << trial << " mask size " << mask.size()
+                       << " from " << from << " dest " << dest);
+          EXPECT_EQ(t.next_hop(NodeId{from}, NodeId{dest}),
+                    want.next[from * n + dest]);
+          EXPECT_EQ(t.hop_distance(NodeId{from}, NodeId{dest}),
+                    want.hops[from * n + dest]);
+        }
+      }
+    }
+  }
 }
 
 TEST(Topology, LinkThrowsOnBadId) {
