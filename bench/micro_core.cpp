@@ -186,7 +186,7 @@ void BM_ExpressionEvaluate(benchmark::State& state) {
     v.value = rng.chance(0.5) ? Tristate::kTrue : Tristate::kFalse;
     v.evaluated_at = SimTime::zero();
     v.validity = SimTime::seconds(100);
-    a.set(v);
+    a.set(*e.slot_of(v.label), v);
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(e.evaluate(a, SimTime::seconds(1)));

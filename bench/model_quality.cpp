@@ -74,7 +74,7 @@ double run_world(const Workload& w, MetaRef meta, Rng& rng,
                                 OrderPolicy::kShortCircuit)) {
     cost += w.truth.get(*next).cost;
     const bool v = world[next->value()];
-    a.set(value_of(*next, v));
+    a.set(*w.expr.slot_of(*next), value_of(*next, v));
     if (learn) learn->observe(*next, v);
   }
   return cost;

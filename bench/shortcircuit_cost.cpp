@@ -63,7 +63,7 @@ double adaptive_cost(const Workload& w, OrderPolicy policy, Rng& rng) {
   while (auto next = next_label(w.expr, a, SimTime::zero(), w.meta.fn(),
                                 policy)) {
     cost += w.meta.get(*next).cost;
-    a.set(sample_value(*next, world[next->value()]));
+    a.set(*w.expr.slot_of(*next), sample_value(*next, world[next->value()]));
   }
   return cost;
 }

@@ -85,7 +85,7 @@ int main() {
     v.evaluated_at = now;
     v.validity = meta.get(*next).validity;
     v.annotator = AnnotatorId{0};
-    a.set(v);
+    a.set(*lights_on.slot_of(*next), v);
     ++fetched;
     std::printf("  sampled %s -> %s (fresh for %.0fs)\n",
                 site == 0 ? "light" : "co2", truth ? "true" : "false",

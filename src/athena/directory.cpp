@@ -45,29 +45,36 @@ std::vector<LabelId> Directory::labels_of(SourceId source) const {
   return out;
 }
 
-double Directory::retrieval_cost(SourceId source, NodeId origin) const {
+Directory::Retrieval Directory::retrieval(SourceId source,
+                                          NodeId origin) const {
+  const world::SensorInfo& sensor = field_.sensor(source);
+  const double bytes = static_cast<double>(sensor.object_bytes);
   const auto hops = topo_.hop_distance(origin, host(source));
-  const double h = hops ? static_cast<double>(std::max<std::size_t>(*hops, 1))
-                        : 1e9;  // unreachable → effectively infinite cost
-  return static_cast<double>(field_.sensor(source).object_bytes) * h;
+  // Unreachable → effectively infinite cost, and no latency bound.
+  if (!hops) return {bytes * 1e9, SimTime::max(), sensor};
+  const auto h = static_cast<double>(std::max<std::size_t>(*hops, 1));
+  // Cost: object bytes × path hops (bytes crossing each hop are paid once).
+  // Latency: transfer dominates, object bytes over a nominal 1 Mbps per
+  // hop, plus a small per-hop request overhead.
+  return {bytes * h, SimTime::seconds(h * (bytes * 8.0 / 1e6 + 0.005)),
+          sensor};
+}
+
+double Directory::retrieval_cost(SourceId source, NodeId origin) const {
+  return retrieval(source, origin).cost;
 }
 
 SimTime Directory::retrieval_latency(SourceId source, NodeId origin) const {
-  const auto hops = topo_.hop_distance(origin, host(source));
-  if (!hops) return SimTime::max();
-  const auto h = static_cast<double>(std::max<std::size_t>(*hops, 1));
-  // Transfer dominates: object bytes over a nominal 1 Mbps per hop, plus a
-  // small per-hop request overhead.
-  const double bytes = static_cast<double>(field_.sensor(source).object_bytes);
-  return SimTime::seconds(h * (bytes * 8.0 / 1e6 + 0.005));
+  return retrieval(source, origin).latency;
 }
 
 decision::LabelMeta Directory::meta(LabelId label, SourceId source,
                                     NodeId origin) const {
+  const Retrieval r = retrieval(source, origin);
   decision::LabelMeta m;
-  m.cost = retrieval_cost(source, origin);
-  m.latency = retrieval_latency(source, origin);
-  m.validity = field_.sensor(source).validity;
+  m.cost = r.cost;
+  m.latency = r.latency;
+  m.validity = r.sensor.validity;
   auto it = p_true_.find(label);
   m.p_true = it == p_true_.end() ? 0.5 : it->second;
   return m;

@@ -80,6 +80,15 @@ class Directory {
       const std::unordered_set<SourceId>* exclude = nullptr) const;
 
  private:
+  /// retrieval_cost and retrieval_latency of `source` from `origin`, and
+  /// its sensor record, from one route lookup and one sensor lookup.
+  struct Retrieval {
+    double cost;
+    SimTime latency;
+    const world::SensorInfo& sensor;
+  };
+  [[nodiscard]] Retrieval retrieval(SourceId source, NodeId origin) const;
+
   const net::Topology& topo_;
   const world::SensorField& field_;
   std::vector<NodeId> host_of_sensor_;

@@ -94,8 +94,7 @@ QueryId AthenaNode::query_init(decision::DnfExpr expr,
   q.expr = std::move(expr);
   q.issued_at = now;
   q.deadline_abs = now + relative_deadline;
-  const auto labels = q.expr.all_labels();
-  for (const LabelId l : labels) q.label_set.insert(l);
+  const auto& labels = q.expr.all_labels();
   q.selection = directory_.select_sources(labels, id_, config_.source_selection);
   q.priority = priority;
   q.record_index = records_.size();
@@ -268,12 +267,13 @@ void AthenaNode::apply_labels_to_queries(
     if (state == nullptr || state->finished) continue;
     QueryState& q = *state;
     for (const auto& v : values) {
-      if (!q.label_set.contains(v.label)) continue;
+      const auto slot = q.expr.slot_of(v.label);
+      if (!slot) continue;
       if (!trusts(v.annotator)) continue;
       // Never replace fresher knowledge with an older evaluation.
-      const auto* cur = q.assignment.record(v.label);
+      const auto* cur = q.assignment.record(*slot);
       if (cur && cur->expires_at() >= v.expires_at()) continue;
-      q.assignment.set(v);
+      q.assignment.set(*slot, v);
       trace(obs::EventKind::kLabelSettle, qid, v.label.value(), 0,
             v.evaluated_at.to_seconds());
     }
@@ -346,12 +346,13 @@ void AthenaNode::deliver_object(const world::EvidenceObject& obj) {
 
 bool AthenaNode::try_local(QueryState& q, LabelId label) {
   const SimTime now = net_.now();
+  const std::uint32_t slot = q.expr.slot_of(label).value();  // a planned label
 
   // 1. Label cache: a fresh value signed by a trusted annotator settles
   //    the label outright (Sec. VI-D trust model).
   if (const auto* v = label_cache_.peek(label, now)) {
     if (trusts(v->annotator)) {
-      q.assignment.set(*v);
+      q.assignment.set(slot, *v);
       trace(obs::EventKind::kLabelSettle, q.id, v->label.value(), 0,
             v->evaluated_at.to_seconds());
       return true;
@@ -371,7 +372,7 @@ bool AthenaNode::try_local(QueryState& q, LabelId label) {
     if (cached) ++metrics_.object_cache_hits;
     deliver_object(*obj);
     // deliver_object() applied the annotation to q's assignment.
-    if (q.assignment.value_at(label, now) != Tristate::kUnknown) return true;
+    if (q.assignment.value_at(slot, now) != Tristate::kUnknown) return true;
   }
   return false;
 }
@@ -616,8 +617,7 @@ bool AthenaNode::deadline_infeasible(const QueryState& q,
 }
 
 void AthenaNode::failover(QueryState& q) {
-  // Deterministic label order (label_set is unordered).
-  std::vector<LabelId> labels(q.label_set.begin(), q.label_set.end());
+  std::vector<LabelId> labels = q.expr.all_labels();
   std::sort(labels.begin(), labels.end());
   Directory::Selection fresh = directory_.select_sources(
       labels, id_, config_.source_selection, &q.exhausted);
@@ -1168,8 +1168,8 @@ void AthenaNode::apply_invalidation(const std::vector<LabelId>& labels) {
     if (q.finished) continue;
     bool touched = false;
     for (LabelId l : labels) {
-      if (q.label_set.contains(l)) {
-        q.assignment.invalidate(l);
+      if (const auto label_slot = q.expr.slot_of(l)) {
+        q.assignment.invalidate(*label_slot);
         touched = true;
       }
     }

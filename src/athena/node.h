@@ -132,7 +132,7 @@ class AthenaNode {
 
   /// Attach a structured trace sink (pass nullptr to detach). The node
   /// emits query-lifecycle events into it: issue → plan → interest →
-  /// fetch/retry/failover → object_rx/label_settle → decide/expire/shed.
+  /// fetch/retry/failover → object_rx/label settle → decide/expire/shed.
   /// Observation only — emission never schedules events, samples RNG, or
   /// alters protocol state, so the trajectory is bit-for-bit identical
   /// with and without a sink.
@@ -168,10 +168,9 @@ class AthenaNode {
   struct QueryState {
     QueryId id;
     decision::DnfExpr expr;
-    SmallSet<LabelId, 8> label_set;  ///< labels the expr mentions
     SimTime issued_at;
     SimTime deadline_abs;
-    decision::Assignment assignment;
+    decision::Assignment assignment;  ///< by expr slot
     Directory::Selection selection;
     int priority = 0;
     /// source → expiry of the outstanding request to it.

@@ -17,7 +17,6 @@
 #include "common/stats.h"        // IWYU pragma: export
 #include "common/tristate.h"     // IWYU pragma: export
 #include "coverage/set_cover.h"  // IWYU pragma: export
-#include "decision/algebra.h"    // IWYU pragma: export
 #include "decision/estimator.h"  // IWYU pragma: export
 #include "decision/expression.h" // IWYU pragma: export
 #include "decision/label.h"      // IWYU pragma: export

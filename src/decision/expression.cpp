@@ -1,34 +1,23 @@
 #include "decision/expression.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 namespace dde::decision {
 
-std::vector<LabelId> DnfExpr::relevant_labels(const Assignment& a,
-                                              SimTime now) const {
-  std::vector<LabelId> out;
-  if (resolved(a, now)) return out;
-  std::unordered_set<LabelId> seen;
-  for (std::size_t i = 0; i < disjuncts_.size(); ++i) {
-    if (eval_disjunct(i, a, now) != Tristate::kUnknown) continue;
-    for (const Term& t : disjuncts_[i].terms) {
-      if (eval_term(t, a, now) != Tristate::kUnknown) continue;
-      if (seen.insert(t.label).second) out.push_back(t.label);
-    }
+std::size_t DnfExpr::add_disjunct(Conjunction c) {
+  for (Term& t : c.terms) {
+    const auto s = slot_of(t.label);
+    t.slot = s ? *s : static_cast<std::uint32_t>(labels_.size());
+    if (!s) labels_.push_back(t.label);
   }
-  return out;
+  disjuncts_.push_back(std::move(c));
+  return disjuncts_.size() - 1;
 }
 
-std::vector<LabelId> DnfExpr::all_labels() const {
-  std::vector<LabelId> out;
-  std::unordered_set<LabelId> seen;
-  for (const auto& c : disjuncts_) {
-    for (const Term& t : c.terms) {
-      if (seen.insert(t.label).second) out.push_back(t.label);
-    }
-  }
-  return out;
+std::optional<std::uint32_t> DnfExpr::slot_of(LabelId label) const {
+  const auto it = std::find(labels_.begin(), labels_.end(), label);
+  if (it == labels_.end()) return std::nullopt;
+  return static_cast<std::uint32_t>(it - labels_.begin());
 }
 
 }  // namespace dde::decision

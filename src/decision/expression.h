@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -23,6 +24,7 @@ namespace dde::decision {
 struct Term {
   LabelId label;
   bool negated = false;
+  std::uint32_t slot = 0;  ///< the label's slot, set by DnfExpr::add_disjunct
 
   friend bool operator==(const Term&, const Term&) = default;
 };
@@ -34,13 +36,11 @@ struct Conjunction {
   friend bool operator==(const Conjunction&, const Conjunction&) = default;
 };
 
-/// A decision expression in DNF.
+/// A decision expression in DNF. Its distinct labels are numbered 0..k-1
+/// (slots) in first-appearance order as disjuncts are added, and evaluation
+/// reads the Assignment by slot.
 class DnfExpr {
  public:
-  DnfExpr() = default;
-  explicit DnfExpr(std::vector<Conjunction> disjuncts)
-      : disjuncts_(std::move(disjuncts)) {}
-
   [[nodiscard]] const std::vector<Conjunction>& disjuncts() const noexcept {
     return disjuncts_;
   }
@@ -49,16 +49,23 @@ class DnfExpr {
   }
   [[nodiscard]] bool empty() const noexcept { return disjuncts_.empty(); }
 
-  /// Add one course of action. Returns its index.
-  std::size_t add_disjunct(Conjunction c) {
-    disjuncts_.push_back(std::move(c));
-    return disjuncts_.size() - 1;
+  /// Add one course of action, numbering its new labels. Returns its index.
+  std::size_t add_disjunct(Conjunction c);
+
+  /// All distinct labels mentioned anywhere, by slot (first-appearance order).
+  [[nodiscard]] const std::vector<LabelId>& all_labels() const noexcept {
+    return labels_;
   }
+  [[nodiscard]] std::size_t label_count() const noexcept {
+    return labels_.size();
+  }
+  /// The slot of `label`, or nullopt if the expression does not mention it.
+  [[nodiscard]] std::optional<std::uint32_t> slot_of(LabelId label) const;
 
   /// Value of a single term under `a` at `now` (Kleene).
   [[nodiscard]] static Tristate eval_term(const Term& t, const Assignment& a,
                                           SimTime now) {
-    const Tristate v = a.value_at(t.label, now);
+    const Tristate v = a.value_at(t.slot, now);
     return t.negated ? !v : v;
   }
 
@@ -98,17 +105,9 @@ class DnfExpr {
     return std::nullopt;
   }
 
-  /// Labels that can still influence the outcome under `a` at `now`:
-  /// unknown-valued terms of disjuncts that are not already false.
-  /// Deduplicated, in first-appearance order. Empty iff resolved.
-  [[nodiscard]] std::vector<LabelId> relevant_labels(const Assignment& a,
-                                                     SimTime now) const;
-
-  /// All distinct labels mentioned anywhere, in first-appearance order.
-  [[nodiscard]] std::vector<LabelId> all_labels() const;
-
  private:
   std::vector<Conjunction> disjuncts_;
+  std::vector<LabelId> labels_;  ///< slot → label
 };
 
 }  // namespace dde::decision

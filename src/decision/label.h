@@ -6,8 +6,9 @@
 // was computed from — the trust metadata of Sec. III-B.
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/ids.h"
@@ -41,50 +42,41 @@ struct LabelValue {
   }
 };
 
-/// A (partial) assignment of values to labels, with freshness handling.
+/// A (partial) assignment of values to one expression's labels, with
+/// freshness handling. Slot `s` holds the value of the label the expression
+/// numbered `s` (DnfExpr::slot_of); the array grows to the highest slot set,
+/// and a slot never set (or invalidated) reads as unknown.
 ///
 /// Lookups are time-aware: a stored value that has expired reads back as
 /// unknown, which is exactly how staleness re-opens a decision.
 class Assignment {
  public:
-  /// Record a label value (overwrites any previous value).
-  void set(LabelValue v) { values_[v.label] = std::move(v); }
-
-  /// The value of `label` if known and still fresh at `now`.
-  [[nodiscard]] Tristate value_at(LabelId label, SimTime now) const {
-    auto it = values_.find(label);
-    if (it == values_.end() || !it->second.fresh_at(now)) {
-      return Tristate::kUnknown;
-    }
-    return it->second.value;
+  /// Record the value at `slot` (overwrites any previous value).
+  void set(std::uint32_t slot, LabelValue v) {
+    if (slot >= records_.size()) records_.resize(slot + 1);
+    records_[slot] = std::move(v);
   }
 
-  /// The stored record for `label`, fresh or not (nullptr if never set).
-  [[nodiscard]] const LabelValue* record(LabelId label) const {
-    auto it = values_.find(label);
-    return it == values_.end() ? nullptr : &it->second;
+  /// The value at `slot` if known and still fresh at `now`.
+  [[nodiscard]] Tristate value_at(std::uint32_t slot, SimTime now) const {
+    const LabelValue* r = record(slot);
+    return r != nullptr && r->fresh_at(now) ? r->value : Tristate::kUnknown;
   }
 
-  /// Earliest expiry among values that are fresh at `now`
-  /// (SimTime::max() if none).
-  [[nodiscard]] SimTime earliest_expiry(SimTime now) const {
-    SimTime best = SimTime::max();
-    // lint: ordered-fold — min-reduction, commutative and associative.
-    for (const auto& [id, v] : values_) {
-      if (v.fresh_at(now)) best = std::min(best, v.expires_at());
-    }
-    return best;
+  /// The stored record at `slot`, fresh or not (nullptr if never set).
+  [[nodiscard]] const LabelValue* record(std::uint32_t slot) const {
+    return slot < records_.size() && records_[slot] ? &*records_[slot]
+                                                    : nullptr;
   }
 
-  /// Discard any knowledge of `label` (Sec. II-A invalidation: an external
+  /// Discard any knowledge at `slot` (Sec. II-A invalidation: an external
   /// event voided the observation). Subsequent lookups return unknown.
-  void invalidate(LabelId label) { values_.erase(label); }
-
-  [[nodiscard]] std::size_t size() const noexcept { return values_.size(); }
-  void clear() { values_.clear(); }
+  void invalidate(std::uint32_t slot) {
+    if (slot < records_.size()) records_[slot].reset();
+  }
 
  private:
-  std::unordered_map<LabelId, LabelValue> values_;
+  std::vector<std::optional<LabelValue>> records_;
 };
 
 }  // namespace dde::decision

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <numeric>
 
-#include "common/flat_hash.h"
 #include "decision/scored_term.h"
 
 namespace dde::decision {
@@ -13,13 +12,14 @@ namespace {
 /// One plan's view of the expression under the current assignment: the
 /// unknown terms of every open disjunct (each label listed once per
 /// disjunct), and the distinct labels among them in first-appearance order
-/// (DnfExpr::relevant_labels' order).
+/// among the open disjuncts.
 struct OpenTerms {
   bool resolved = false;
   std::vector<LabelId> labels;
-  std::vector<Term> terms;           ///< open disjuncts' terms, concatenated
-  std::vector<std::uint32_t> slots;  ///< terms[k]'s index into labels
-  std::vector<std::size_t> ends;     ///< one past each open disjunct's terms
+  /// Open disjuncts' terms, concatenated; each term's slot is renumbered to
+  /// its label's index into `labels`.
+  std::vector<Term> terms;
+  std::vector<std::size_t> ends;  ///< one past each open disjunct's terms
 };
 
 /// One pass over the expression: each term is evaluated once.
@@ -28,14 +28,12 @@ OpenTerms collect_open_terms(const DnfExpr& expr, const Assignment& a,
   OpenTerms out;
   std::size_t term_count = 0;
   for (const Conjunction& c : expr.disjuncts()) term_count += c.terms.size();
-  struct Seen {
-    std::uint32_t slot = 0;
-    std::size_t disjunct = 0;  ///< last disjunct that listed the label
-  };
-  FlatU64Map<Seen> seen(term_count);
-  out.labels.reserve(term_count);
+  // Per expression slot: the label's index into out.labels, and the last
+  // open disjunct that listed it, plus one (0 = not listed yet).
+  struct Seen { std::uint32_t index = 0; std::size_t disjunct = 0; };
+  std::vector<Seen> seen(expr.label_count());
+  out.labels.reserve(expr.label_count());
   out.terms.reserve(term_count);
-  out.slots.reserve(term_count);
   out.ends.reserve(expr.disjunct_count());
   std::vector<Term> unknown;
   bool all_false = true;
@@ -61,18 +59,14 @@ OpenTerms collect_open_terms(const DnfExpr& expr, const Assignment& a,
     if (value == Tristate::kFalse) continue;
     all_false = false;
     for (const Term& t : unknown) {
-      std::uint32_t slot = 0;
-      if (Seen* s = seen.find(t.label.value())) {
-        if (s->disjunct == i) continue;  // listed earlier in this disjunct
-        s->disjunct = i;
-        slot = s->slot;
-      } else {
-        slot = static_cast<std::uint32_t>(out.labels.size());
-        seen.insert(t.label.value(), Seen{slot, i});
+      Seen& s = seen[t.slot];
+      if (s.disjunct == i + 1) continue;  // listed earlier in this disjunct
+      if (s.disjunct == 0) {
+        s.index = static_cast<std::uint32_t>(out.labels.size());
         out.labels.push_back(t.label);
       }
-      out.terms.push_back(t);
-      out.slots.push_back(slot);
+      s.disjunct = i + 1;
+      out.terms.push_back(Term{t.label, t.negated, s.index});
     }
     out.ends.push_back(out.terms.size());
   }
@@ -119,7 +113,7 @@ std::vector<LabelId> order_by_disjunct(const OpenTerms& open,
     Open d;
     d.terms.reserve(end - begin);
     for (std::size_t k = begin; k < end; ++k) {
-      d.terms.push_back(score_term(open.terms[k], metas[open.slots[k]]));
+      d.terms.push_back(score_term(open.terms[k], metas[open.terms[k].slot]));
     }
     d.by_efficiency = d.terms;
     sort_by_efficiency(d.by_efficiency);
@@ -135,7 +129,7 @@ std::vector<LabelId> order_by_disjunct(const OpenTerms& open,
                    });
   std::vector<LabelId> order;
   order.reserve(open.labels.size());
-  FlatU64Set emitted(open.labels.size());
+  std::vector<bool> emitted(open.labels.size());
   for (Open& d : disjuncts) {
     std::vector<ScoredTerm>* terms = &d.by_efficiency;
     if (policy == OrderPolicy::kVariationalLvf) {
@@ -143,7 +137,9 @@ std::vector<LabelId> order_by_disjunct(const OpenTerms& open,
       terms = &d.terms;
     }
     for (const ScoredTerm& s : *terms) {
-      if (emitted.insert(s.term.label.value())) order.push_back(s.term.label);
+      if (emitted[s.term.slot]) continue;
+      emitted[s.term.slot] = true;
+      order.push_back(s.term.label);
     }
   }
   return order;

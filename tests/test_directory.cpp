@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 namespace dde::athena {
@@ -107,6 +110,42 @@ TEST(Directory, MetaReflectsSourceAndLabel) {
   // Unknown label defaults p to 0.5.
   const auto m2 = dir.meta(LabelId{77}, SourceId{1}, f.nodes[0]);
   EXPECT_DOUBLE_EQ(m2.p_true, 0.5);
+}
+
+// meta() derives cost and latency once per read; they must equal the two
+// public calls bit for bit (and the cost model: bytes × max(hops, 1), and
+// hops × (bytes·8/1 Mbps + 5 ms)) for every (source, origin) pair,
+// including an origin with no route, which reads cost bytes × 1e9 and
+// latency SimTime::max().
+TEST(Directory, MetaMatchesRetrievalCostAndLatency) {
+  Fixture f;
+  const NodeId island = f.topo.add_node();
+  f.topo.compute_routes();
+  const auto dir = f.make_directory();
+  std::vector<NodeId> origins = f.nodes;
+  origins.push_back(island);
+  for (const SensorInfo& s : Fixture::sensors()) {
+    const auto bytes = static_cast<double>(s.object_bytes);
+    for (const NodeId origin : origins) {
+      const auto m = dir.meta(LabelId{1}, s.id, origin);
+      const double cost = dir.retrieval_cost(s.id, origin);
+      const SimTime latency = dir.retrieval_latency(s.id, origin);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(m.cost),
+                std::bit_cast<std::uint64_t>(cost));
+      EXPECT_EQ(m.latency, latency);
+      EXPECT_EQ(m.validity, s.validity);
+      const auto hops = f.topo.hop_distance(origin, dir.host(s.id));
+      if (!hops) {
+        EXPECT_EQ(origin, island);
+        EXPECT_EQ(cost, bytes * 1e9);
+        EXPECT_EQ(latency, SimTime::max());
+        continue;
+      }
+      const auto h = static_cast<double>(std::max<std::size_t>(*hops, 1));
+      EXPECT_EQ(cost, bytes * h);
+      EXPECT_EQ(latency, SimTime::seconds(h * (bytes * 8.0 / 1e6 + 0.005)));
+    }
+  }
 }
 
 TEST(Directory, SelectMinimizedCoversAllLabels) {

@@ -11,6 +11,7 @@
 #include "common/rng.h"
 #include "decision/estimator.h"
 #include "decision/ordering.h"
+#include "reference_eval.h"
 
 namespace dde::decision {
 namespace {
@@ -25,6 +26,11 @@ LabelValue val(std::uint64_t label, Tristate v) {
   lv.validity = SimTime::seconds(1000);
   lv.annotator = AnnotatorId{0};
   return lv;
+}
+
+/// Record `v` in `a` at the slot `e` gives its label.
+void put(const DnfExpr& e, Assignment& a, LabelValue v) {
+  a.set(e.slot_of(v.label).value(), std::move(v));
 }
 
 DnfExpr route_example() {
@@ -48,11 +54,12 @@ class AllPolicies : public ::testing::TestWithParam<OrderPolicy> {};
 TEST_P(AllPolicies, PlanIsPermutationOfRelevantLabels) {
   const DnfExpr e = route_example();
   const MetaTable meta = uniform_meta(6);
-  Assignment a;
-  a.set(val(0, Tristate::kFalse));  // route 1 dead; labels 1, 2 irrelevant
+  reference::MapAssignment known;
+  known.set(val(0, Tristate::kFalse));  // route 1 dead; labels 1, 2 irrelevant
+  const Assignment a = known.for_expr(e);
   const auto order = plan_retrieval_order(e, a, SimTime::zero(), meta.fn(),
                                           GetParam());
-  const auto relevant = e.relevant_labels(a, SimTime::zero());
+  const auto relevant = reference::relevant_labels(e, known, SimTime::zero());
   EXPECT_TRUE(std::is_permutation(order.begin(), order.end(),
                                   relevant.begin(), relevant.end()));
 }
@@ -61,9 +68,9 @@ TEST_P(AllPolicies, EmptyWhenResolved) {
   const DnfExpr e = route_example();
   const MetaTable meta = uniform_meta(6);
   Assignment a;
-  a.set(val(0, Tristate::kTrue));
-  a.set(val(1, Tristate::kTrue));
-  a.set(val(2, Tristate::kTrue));
+  put(e, a, val(0, Tristate::kTrue));
+  put(e, a, val(1, Tristate::kTrue));
+  put(e, a, val(2, Tristate::kTrue));
   EXPECT_TRUE(plan_retrieval_order(e, a, SimTime::zero(), meta.fn(),
                                    GetParam())
                   .empty());
@@ -193,19 +200,20 @@ TEST(Planner, AdaptiveExecutionTerminatesAndIsCorrect) {
                          SimTime::seconds(rng.uniform(50, 500))});
     }
     // Classical truth.
-    Assignment full;
+    reference::MapAssignment full;
     for (std::size_t i = 0; i < n; ++i) {
       full.set(val(i, world[i] ? Tristate::kTrue : Tristate::kFalse));
     }
-    const Tristate truth = e.evaluate(full, SimTime::zero());
+    const Tristate truth = e.evaluate(full.for_expr(e), SimTime::zero());
 
     for (OrderPolicy policy : policies) {
       Assignment a;
       int fetches = 0;
       while (auto next = next_label(e, a, SimTime::zero(), meta.fn(), policy,
                                     SimTime::seconds(1000))) {
-        a.set(val(next->value(),
-                  world[next->value()] ? Tristate::kTrue : Tristate::kFalse));
+        put(e, a,
+            val(next->value(),
+                world[next->value()] ? Tristate::kTrue : Tristate::kFalse));
         ASSERT_LE(++fetches, static_cast<int>(n)) << "must terminate";
       }
       EXPECT_EQ(e.evaluate(a, SimTime::zero()), truth);
@@ -241,8 +249,9 @@ TEST(Planner, ShortCircuitFetchesNoMoreThanDeclaredOnAverage) {
       double cost = 0;
       while (auto next = next_label(e, a, SimTime::zero(), meta.fn(), policy)) {
         cost += meta.get(*next).cost;
-        a.set(val(next->value(),
-                  world[next->value()] ? Tristate::kTrue : Tristate::kFalse));
+        put(e, a,
+            val(next->value(),
+                world[next->value()] ? Tristate::kTrue : Tristate::kFalse));
       }
       return cost;
     };
@@ -261,7 +270,8 @@ TEST(Planner, ShortCircuitFetchesNoMoreThanDeclaredOnAverage) {
 struct RandomPlan {
   DnfExpr expr;
   MetaTable meta;
-  Assignment assignment;
+  reference::MapAssignment known;
+  Assignment assignment;  ///< `known`, for `expr`
   SimTime now;
   SimTime deadline;
 };
@@ -288,9 +298,10 @@ RandomPlan random_plan(Rng& rng) {
       LabelValue v = val(i, rng.chance(0.5) ? Tristate::kTrue
                                             : Tristate::kFalse);
       v.validity = SimTime::seconds(rng.uniform(1.0, 20.0));
-      p.assignment.set(v);
+      p.known.set(v);
     }
   }
+  p.assignment = p.known.for_expr(p.expr);
   p.now = SimTime::seconds(rng.uniform(0.0, 10.0));
   p.deadline = rng.chance(0.2) ? SimTime::max()
                                : p.now + SimTime::seconds(rng.uniform(1, 40));
@@ -320,7 +331,7 @@ TEST(Planner, ReadsEachLabelMetadataAtMostOnce) {
                                             p.meta.fn(), policy, p.deadline));
       if (policy == OrderPolicy::kDeclared) {
         EXPECT_TRUE(reads.empty());
-        EXPECT_EQ(order, p.expr.relevant_labels(p.assignment, p.now));
+        EXPECT_EQ(order, reference::relevant_labels(p.expr, p.known, p.now));
         continue;
       }
       for (const auto& [label, count] : reads) {
@@ -440,7 +451,7 @@ TEST(PriorEstimator, LearnedPriorsReduceAdaptiveCost) {
       lv.evaluated_at = SimTime::zero();
       lv.validity = SimTime::seconds(1e6);
       lv.annotator = AnnotatorId{0};
-      a.set(lv);
+      put(e, a, lv);
       if (learn) est.observe(*next, v);
     }
     return cost;
