@@ -38,11 +38,9 @@ struct ObjectRequest {
   NodeId origin;                ///< query source node
   SourceId source;
   std::vector<LabelId> labels;  ///< labels this request should resolve
-  bool prefetch = false;        ///< background request; never forwarded
   bool accept_labels = false;   ///< cached label values acceptable (lvfl)
-  SimTime deadline_abs;         ///< requesting query's decision deadline
   /// Network priority of this request and of the data it pulls back
-  /// (Sec. V-C criticality; background prefetch uses −1).
+  /// (Sec. V-C criticality).
   int priority = 0;
   /// Multipath replica group: all parallel copies of one logical request
   /// carry the same nonzero group and receivers keep only the first copy.
@@ -79,7 +77,6 @@ struct LabelShare {
 struct Invalidation {
   std::uint64_t id = 0;  ///< flood-dedup identifier
   std::vector<LabelId> labels;
-  SimTime issued_at;
   int ttl = 0;
 };
 
@@ -97,7 +94,6 @@ struct LabelReply {
 /// upstream instead of waiting out stale leases. One hop, never flooded.
 struct RecoveryHello {
   NodeId node;                 ///< the restarted node
-  std::uint64_t epoch = 0;     ///< its restart count (state generation)
   SimTime restarted_at;        ///< when it came back up
 };
 

@@ -182,18 +182,16 @@ std::vector<decision::LabelValue> AthenaNode::annotate(
     const world::EvidenceObject& obj) const {
   std::vector<decision::LabelValue> values;
   values.reserve(obj.readings.size());
-  // Sorted segment order: the values vector feeds label-share payloads and
-  // per-query settle traces, so its order must not depend on hash layout.
-  for (const auto segment : sorted_keys(obj.readings)) {
-    const bool viable = obj.readings.at(segment);
+  // Readings are sorted by segment: the values vector feeds label-share
+  // payloads and per-query settle traces in that order.
+  for (const auto& [segment, viable] : obj.readings) {
     decision::LabelValue v;
     v.label = LabelId{segment.value()};
     v.value = to_tristate(viable);
     v.evaluated_at = obj.captured_at;
     v.validity = obj.validity;
     v.annotator = AnnotatorId{id_.value()};
-    v.evidence = {obj.id};
-    values.push_back(std::move(v));
+    values.push_back(v);
   }
   return values;
 }
@@ -204,8 +202,7 @@ std::vector<decision::LabelValue> AthenaNode::corroborate(
   std::vector<decision::LabelValue> decided;
   if (!obj.fresh_at(now)) return decided;  // expired observations are void
   // Sorted segment order: decided labels flow into shares and settle traces.
-  for (const auto segment : sorted_keys(obj.readings)) {
-    const bool reading = obj.readings.at(segment);
+  for (const auto& [segment, reading] : obj.readings) {
     const LabelId label{segment.value()};
     auto& entry = beliefs_[label];
     if (now >= entry.window_expires) entry = BeliefEntry{};  // window over
@@ -224,8 +221,7 @@ std::vector<decision::LabelValue> AthenaNode::corroborate(
     v.evaluated_at = now;
     v.validity = entry.window_expires - now;
     v.annotator = AnnotatorId{id_.value()};
-    v.evidence = sorted_keys(entry.observed);
-    decided.push_back(std::move(v));
+    decided.push_back(v);
   }
   return decided;
 }
@@ -302,10 +298,7 @@ void AthenaNode::deliver_object(const world::EvidenceObject& obj) {
     });
     std::vector<decision::LabelValue> fresher;
     for (const auto& v : values) {
-      const auto* existing = label_cache_.peek(v.label, now);
-      if (existing && existing->expires_at() >= v.expires_at()) continue;
-      label_cache_.put(v.label, v, v.expires_at(), now);
-      fresher.push_back(v);
+      if (cache_label(v, now)) fresher.push_back(v);
     }
     apply_labels_to_queries(values);
 
@@ -317,10 +310,8 @@ void AthenaNode::deliver_object(const world::EvidenceObject& obj) {
 
   // The reply (fresh or stale, new or repeated) settles the outstanding
   // request.
-  // lint: ordered-fold — order-pinned site (docs/STATIC_ANALYSIS.md): hash
-  // order is fixed for a given stdlib + seed-deterministic insertion history,
-  // and reordering the advance() calls below changes replay trajectories
-  // against the bench baseline.
+  // lint: ordered-fold — order-pinned site (docs/STATIC_ANALYSIS.md): the
+  // kObjectRx trace order below is part of the replayed trajectory.
   for (auto& [qid, slot] : queries_) {
     if (slot == kRetiredSlot) continue;
     QueryState& q = query_pool_.at(slot);
@@ -330,9 +321,16 @@ void AthenaNode::deliver_object(const world::EvidenceObject& obj) {
   }
 
   // Progress every query that may have been unblocked.
+  advance_all();
+}
+
+void AthenaNode::advance_all() {
   std::vector<QueryId> ids;
   ids.reserve(queries_.size());
-  // lint: ordered-fold — order-pinned site, see above.
+  // lint: ordered-fold — order-pinned site (docs/STATIC_ANALYSIS.md): hash
+  // order is fixed for a given stdlib + seed-deterministic insertion history,
+  // and reordering the advance() calls below changes replay trajectories
+  // against the bench baseline.
   for (auto& [qid, slot] : queries_) {
     if (slot != kRetiredSlot && !query_pool_.at(slot).finished) {
       ids.push_back(qid);
@@ -342,6 +340,14 @@ void AthenaNode::deliver_object(const world::EvidenceObject& obj) {
     QueryState* state = lookup_query(qid);
     if (state != nullptr) advance(*state);
   }
+}
+
+bool AthenaNode::cache_label(const decision::LabelValue& v, SimTime now) {
+  if (v.expires_at() <= now) return false;
+  const auto* existing = label_cache_.peek(v.label, now);
+  if (existing && existing->expires_at() >= v.expires_at()) return false;
+  label_cache_.put(v.label, v, v.expires_at(), now);
+  return true;
 }
 
 bool AthenaNode::try_local(QueryState& q, LabelId label) {
@@ -520,13 +526,14 @@ void AthenaNode::issue_request(QueryState& q, SourceId source,
 
   // Adaptive timeout: three times the directory's round-trip estimate for
   // this source, floored generously (queueing is not in the estimate) and
-  // capped by the configured maximum. Small objects on short paths recover
-  // from loss in seconds instead of waiting out the worst-case timeout.
+  // capped by the configured maximum, which wins over the floor. Small
+  // objects on short paths recover from loss in seconds instead of waiting
+  // out the worst-case timeout.
   const SimTime est = directory_.retrieval_latency(source, id_);
   SimTime timeout = config_.request_timeout;
   if (est != SimTime::max()) {
-    timeout = std::clamp(3 * est, SimTime::seconds(8),
-                         config_.request_timeout);
+    timeout = std::min(std::max(3 * est, SimTime::seconds(8)),
+                       config_.request_timeout);
   }
   // Exponential backoff across attempts to the same source (fault
   // recovery): a source behind a downed link is probed at a geometrically
@@ -568,19 +575,16 @@ void AthenaNode::issue_request(QueryState& q, SourceId source,
   r.origin = id_;
   r.source = source;
   r.labels = std::move(labels);
-  r.prefetch = false;
   // Accept cached labels on the first attempt only: a retry means the label
   // answer was unusable (e.g. expired in transit), so insist on the object.
   r.accept_labels = config_.label_sharing && count == 1;
-  r.deadline_abs = q.deadline_abs;
   r.priority = q.priority;
 
   // Local interest entry so the returning object is delivered to us.
   interest_order_.insert(source);
   interest_table_.find_or_insert(source.value())
-      .push_back(Interest{NodeId{}, q.id, id_, r.labels, false,
-                          r.accept_labels, q.priority,
-                          now + config_.interest_ttl});
+      .push_back(Interest{NodeId{}, q.id, id_, r.labels, r.accept_labels,
+                          q.priority, now + config_.interest_ttl});
   schedule_gc();
 
   // Multipath redundancy (Sec. V-C): critical requests are replicated over
@@ -732,7 +736,7 @@ void AthenaNode::handle_announce(NodeId from, const QueryAnnounce& a) {
       if (!hosts(s)) continue;
       if (!prefetch_mark_seen(prefetch_key(a.origin, s))) continue;
       prefetch_queue_.push_back(
-          PrefetchItem{true, s, a.query, a.origin, a.deadline_abs});
+          PrefetchItem{s, a.query, a.origin, a.deadline_abs});
     }
   }
   if (!prefetch_queue_.empty() && !pump_scheduled_) {
@@ -777,12 +781,7 @@ void AthenaNode::handle_request(NodeId from, const ObjectRequest& r) {
   // Object service from cache or a hosted sensor.
   if (auto obj = local_object(r.source)) {
     if (!hosts(r.source)) ++metrics_.object_cache_hits;
-    const std::uint64_t group = reply_group_for(r);
-    reply_with_object(*obj, from, r.query, r.origin, /*prefetch_push=*/false,
-                      r.priority, group);
-    replicate_reply(ObjectReply{*obj, r.query, r.origin, false, group,
-                                r.priority},
-                    from, r.origin);
+    reply_to_request(*obj, from, r);
     return;
   }
 
@@ -797,28 +796,22 @@ void AthenaNode::handle_request(NodeId from, const ObjectRequest& r) {
       if (cached == nullptr) continue;
       const bool covers_all = std::all_of(
           r.labels.begin(), r.labels.end(), [&](LabelId l) {
-            return cached->readings.contains(SegmentId{l.value()});
+            return std::ranges::binary_search(
+                cached->readings, SegmentId{l.value()}, {},
+                &std::pair<SegmentId, bool>::first);
           });
       if (!covers_all) continue;
       ++metrics_.substitutions;
-      const std::uint64_t group = reply_group_for(r);
-      reply_with_object(*cached, from, r.query, r.origin,
-                        /*prefetch_push=*/false, r.priority, group);
-      replicate_reply(ObjectReply{*cached, r.query, r.origin, false, group,
-                                  r.priority},
-                      from, r.origin);
+      reply_to_request(*cached, from, r);
       return;
     }
   }
 
-  // Miss: prefetch requests are never forwarded (Sec. VI-B).
-  if (r.prefetch) return;
-
-  // Bookmark the interest and forward toward the source.
+  // Miss: bookmark the interest and forward toward the source.
   interest_order_.insert(r.source);
   auto& entries = interest_table_.find_or_insert(r.source.value());
   entries.remove_if([now](const Interest& e) { return e.expires <= now; });
-  entries.push_back(Interest{from, r.query, r.origin, r.labels, r.prefetch,
+  entries.push_back(Interest{from, r.query, r.origin, r.labels,
                              r.accept_labels, r.priority,
                              now + config_.interest_ttl});
   trace(obs::EventKind::kInterest, r.query, r.source.value());
@@ -889,16 +882,23 @@ void AthenaNode::replicate_request(const ObjectRequest& r, NodeId primary_next,
   }
 }
 
-void AthenaNode::replicate_reply(const ObjectReply& r, NodeId primary_next,
-                                 NodeId dest) {
-  if (config_.multipath_redundancy <= 1 || r.replica_group == 0) return;
-  if (dest == id_) return;  // the requester is this node; nothing to fan out
-  for (NodeId alt : net::alternate_next_hops(net_.topology(), id_, dest,
+void AthenaNode::reply_to_request(const world::EvidenceObject& obj,
+                                  NodeId from, const ObjectRequest& r) {
+  const std::uint64_t group = reply_group_for(r);
+  reply_with_object(obj, from, r.query, r.origin, /*prefetch_push=*/false,
+                    r.priority, group);
+  // Multipath: copies of a group-tagged reply take alternate downhill first
+  // hops toward the requester (nothing to fan out when it is this node).
+  if (config_.multipath_redundancy <= 1 || group == 0 || r.origin == id_) {
+    return;
+  }
+  const ObjectReply reply{obj, r.query, r.origin, false, group, r.priority};
+  for (NodeId alt : net::alternate_next_hops(net_.topology(), id_, r.origin,
                                              config_.multipath_redundancy - 1,
-                                             {primary_next})) {
+                                             {from})) {
     ++metrics_.replica_copies;
     ++metrics_.object_reply_hops;
-    send_msg(alt, r.object.bytes, r, MsgKind::kObject, r.priority);
+    send_msg(alt, obj.bytes, reply, MsgKind::kObject, r.priority);
   }
 }
 
@@ -996,29 +996,13 @@ void AthenaNode::handle_label_share(NodeId from, const LabelShare& s) {
   // Cache fresher label values along the path (Sec. VI-D).
   std::vector<decision::LabelValue> fresher;
   for (const auto& v : s.values) {
-    const auto* existing = label_cache_.peek(v.label, now);
-    if (existing && existing->expires_at() >= v.expires_at()) continue;
-    if (v.expires_at() > now) {
-      label_cache_.put(v.label, v, v.expires_at(), now);
-      fresher.push_back(v);
-    }
+    if (cache_label(v, now)) fresher.push_back(v);
   }
 
   // Local queries may be waiting on exactly these labels.
   if (!fresher.empty()) {
     apply_labels_to_queries(fresher);
-    std::vector<QueryId> ids;
-    // lint: ordered-fold — order-pinned site (docs/STATIC_ANALYSIS.md):
-    // advance() order below is part of the replayed trajectory.
-    for (auto& [qid, slot] : queries_) {
-      if (slot != kRetiredSlot && !query_pool_.at(slot).finished) {
-        ids.push_back(qid);
-      }
-    }
-    for (QueryId qid : ids) {
-      QueryState* state = lookup_query(qid);
-      if (state != nullptr) advance(*state);
-    }
+    advance_all();
   }
 
   // Serve pending label-accepting interests that are now fully covered.
@@ -1070,29 +1054,14 @@ void AthenaNode::handle_label_reply(NodeId from, const LabelReply& r) {
   // label answer; a later object request for the same source must be
   // forwarded anew rather than aggregated into the finished one.
   forwarded_.erase(r.source.value());
-  for (const auto& v : r.values) {
-    const auto* existing = label_cache_.peek(v.label, now);
-    if (existing && existing->expires_at() >= v.expires_at()) continue;
-    if (v.expires_at() > now) label_cache_.put(v.label, v, v.expires_at(), now);
-  }
+  for (const auto& v : r.values) cache_label(v, now);
   if (r.origin == id_) {
     apply_labels_to_queries(r.values);
     // lint: ordered-fold — independent per-query erase, no output emitted.
     for (auto& [qid, slot] : queries_) {
       if (slot != kRetiredSlot) query_pool_.at(slot).outstanding.erase(r.source);
     }
-    std::vector<QueryId> ids;
-    // lint: ordered-fold — order-pinned site (docs/STATIC_ANALYSIS.md):
-    // advance() order below is part of the replayed trajectory.
-    for (auto& [qid, slot] : queries_) {
-      if (slot != kRetiredSlot && !query_pool_.at(slot).finished) {
-        ids.push_back(qid);
-      }
-    }
-    for (QueryId qid : ids) {
-      QueryState* state = lookup_query(qid);
-      if (state != nullptr) advance(*state);
-    }
+    advance_all();
   } else if (const auto next = net_.next_hop(id_, r.origin);
              next && *next != id_) {
     send_msg(*next, config_.label_bytes, r, MsgKind::kLabel);
@@ -1116,7 +1085,6 @@ void AthenaNode::broadcast_invalidation(const std::vector<LabelId>& labels) {
   // counter (not the dedup-set size) keeps ids unique as entries expire.
   inv.id = id_.value() * 1000000ULL + 900000ULL + next_invalidation_++;
   inv.labels = labels;
-  inv.issued_at = net_.now();
   inv.ttl = 64;  // network-wide
   invalidations_seen_.insert_if_absent(inv.id, net_.now() + config_.dedup_ttl);
   schedule_gc();
@@ -1145,18 +1113,19 @@ void AthenaNode::handle_invalidation(NodeId from, const Invalidation& inv) {
 }
 
 void AthenaNode::apply_invalidation(const std::vector<LabelId>& labels) {
-  const std::unordered_set<LabelId> set(labels.begin(), labels.end());
+  std::vector<LabelId> sorted(labels);
+  std::sort(sorted.begin(), sorted.end());
   for (LabelId l : labels) {
     label_cache_.erase_key(l);
     beliefs_.erase(l);
   }
   // Objects whose readings evidence any invalidated label are void too.
   object_cache_.erase_if([&](SourceId, const world::EvidenceObject& obj) {
-    // lint: ordered-fold — pure any-of over readings, commutative.
-    for (const auto& [segment, value] : obj.readings) {
-      if (set.contains(LabelId{segment.value()})) return true;
-    }
-    return false;
+    return std::any_of(
+        obj.readings.begin(), obj.readings.end(), [&](const auto& reading) {
+          return std::binary_search(sorted.begin(), sorted.end(),
+                                    LabelId{reading.first.value()});
+        });
   });
   // Re-open affected decisions.
   std::vector<QueryId> affected;
@@ -1187,9 +1156,7 @@ void AthenaNode::apply_invalidation(const std::vector<LabelId>& labels) {
 
 bool AthenaNode::prefetch_congested(const PrefetchItem& item) const {
   if (config_.prefetch_watermark == 0) return false;
-  const NodeId toward =
-      item.push ? item.origin : directory_.host(item.source);
-  const auto next = net_.next_hop(id_, toward);
+  const auto next = net_.next_hop(id_, item.origin);
   if (!next || *next == id_) return false;
   const auto link = net_.topology().link_between(id_, *next);
   if (!link) return false;
@@ -1215,29 +1182,12 @@ void AthenaNode::pump_prefetch() {
     PrefetchItem item = prefetch_queue_.front();
     prefetch_queue_.pop_front();
     if (now < item.deadline_abs) {
-      if (item.push) {
-        if (auto obj = local_object(item.source)) {
-          if (const auto next = net_.next_hop(id_, item.origin);
-              next && *next != id_) {
-            ++metrics_.prefetch_pushes;
-            reply_with_object(*obj, *next, item.query, item.origin,
-                              /*prefetch_push=*/true, /*priority=*/-1);
-          }
-        }
-      } else {
-        ObjectRequest r;
-        r.query = item.query;
-        r.origin = item.origin;
-        r.source = item.source;
-        r.labels = directory_.labels_of(item.source);
-        r.prefetch = true;
-        r.accept_labels = false;
-        r.deadline_abs = item.deadline_abs;
-        r.priority = -1;
-        if (const auto next =
-                net_.next_hop(id_, directory_.host(item.source));
+      if (auto obj = local_object(item.source)) {
+        if (const auto next = net_.next_hop(id_, item.origin);
             next && *next != id_) {
-          send_msg(*next, config_.request_bytes, r, MsgKind::kRequest, -1);
+          ++metrics_.prefetch_pushes;
+          reply_with_object(*obj, *next, item.query, item.origin,
+                            /*prefetch_push=*/true, /*priority=*/-1);
         }
       }
     }
@@ -1311,7 +1261,7 @@ void AthenaNode::on_restart(fault::RestartPolicy policy) {
   // this node's soft state is gone. One hop only — the damage a crash does
   // to other nodes' tables is confined to entries whose next hop is this
   // node, so neighbors are exactly the audience.
-  const RecoveryHello hello{id_, restart_epoch_, net_.now()};
+  const RecoveryHello hello{id_, net_.now()};
   for (NodeId nb : net_.topology().neighbors(id_)) {
     send_msg(nb, config_.hello_bytes, hello, MsgKind::kControl, /*priority=*/1);
   }
@@ -1329,8 +1279,8 @@ void AthenaNode::handle_recovery_hello(const RecoveryHello& hello) {
   // Every aggregation marker whose upstream path (re)runs through the
   // restarted node is a dangling promise: the interest-table entry backing
   // it died in the crash, so the reply it waits for will never route back.
-  // Purge the marker and re-issue the first live, foreground downstream
-  // interest upstream — the lease-stamped entries a crashed hop orphaned
+  // Purge the marker and re-issue the first live downstream interest
+  // upstream — the lease-stamped entries a crashed hop orphaned
   // recover in one hop-trip instead of a full downstream retry timeout.
   for (const std::uint64_t source_key : forwarded_.sorted_keys()) {
     if (forwarded_.find(source_key) == nullptr) continue;
@@ -1345,7 +1295,7 @@ void AthenaNode::handle_recovery_hello(const RecoveryHello& hello) {
     if (entries == nullptr) continue;
     const Interest* live = nullptr;
     for (const Interest& e : *entries) {
-      if (e.expires > now && !e.prefetch) {
+      if (e.expires > now) {
         live = &e;
         break;
       }
@@ -1356,9 +1306,7 @@ void AthenaNode::handle_recovery_hello(const RecoveryHello& hello) {
     r.origin = live->origin;
     r.source = s;
     r.labels = live->labels;
-    r.prefetch = false;
     r.accept_labels = live->accept_labels;
-    r.deadline_abs = live->expires;
     r.priority = live->priority;
     forward_request(r);
     ++metrics_.recovery_reissues;

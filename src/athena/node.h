@@ -193,15 +193,14 @@ class AthenaNode {
     QueryId query;
     NodeId origin;
     std::vector<LabelId> labels;
-    bool prefetch = false;
     bool accept_labels = false;
     int priority = 0;
     SimTime expires;
   };
 
-  /// One queued prefetch action (Sec. VI-A: background-only).
+  /// One queued prefetch push of a hosted source's object toward a query
+  /// origin (Sec. VI-A: background-only).
   struct PrefetchItem {
-    bool push = false;  ///< push an object we have vs. request one hop out
     SourceId source;
     QueryId query;
     NodeId origin;
@@ -243,6 +242,11 @@ class AthenaNode {
   /// accepted only if this node trusts its annotator and it is fresher
   /// than what the assignment already holds.
   void apply_labels_to_queries(const std::vector<decision::LabelValue>& values);
+  /// advance() every unfinished query, in queries_ iteration order.
+  void advance_all();
+  /// Admit `v` to the label cache if it is still fresh at `now` and
+  /// outlives the cached value; true if it was put.
+  bool cache_label(const decision::LabelValue& v, SimTime now);
   void finish(QueryState& q, bool success, bool shed = false,
               bool crashed = false);
   /// True if even the quickest remaining retrieval for `order`'s labels
@@ -255,10 +259,11 @@ class AthenaNode {
                     SourceId produced_by);
 
   // --- forwarding / serving ----------------------------------------------
-  /// Serve a request from local state if possible; returns true if fully
-  /// served (no forwarding needed).
-  bool serve_request_locally(const ObjectRequest& r, NodeId reply_to);
   void forward_request(const ObjectRequest& r);
+  /// Answer request `r` (received from `from`) with `obj`, fanning a
+  /// critical reply out over alternate paths when multipath is on.
+  void reply_to_request(const world::EvidenceObject& obj, NodeId from,
+                        const ObjectRequest& r);
   void reply_with_object(const world::EvidenceObject& obj, NodeId to,
                          QueryId query, NodeId origin, bool prefetch_push,
                          int priority = 0, std::uint64_t replica_group = 0);
@@ -277,9 +282,6 @@ class AthenaNode {
   /// first hops toward `dest` (no-op when multipath is off or untagged).
   void replicate_request(const ObjectRequest& r, NodeId primary_next,
                          NodeId dest);
-  /// Same for a reply fanned out toward the requester/origin.
-  void replicate_reply(const ObjectReply& r, NodeId primary_next,
-                       NodeId dest);
   void deliver_object(const world::EvidenceObject& obj);
   void pump_prefetch();
   /// Whether the link toward `item`'s next hop is congested past the
@@ -424,8 +426,8 @@ class AthenaNode {
   /// Locally-assigned replica groups (keeps group ids unique per node;
   /// combined with the node id for run-wide uniqueness).
   std::uint64_t next_replica_group_ = 0;
-  /// Completed non-ghost restarts (bumped in on_restart). Carried in
-  /// RecoveryHello as the state generation; survives crashes by design.
+  /// Completed non-ghost restarts (bumped in on_restart; traced with
+  /// kNodeRestart and read by restart_epoch()); survives crashes by design.
   std::uint64_t restart_epoch_ = 0;
   bool pump_scheduled_ = false;
   bool gc_scheduled_ = false;

@@ -2,28 +2,20 @@
 //
 // The system maintains (label, type, value) tuples; values are tri-state.
 // A resolved label value carries provenance: when it was evaluated, how long
-// it stays valid, which annotator signed it, and which evidence objects it
-// was computed from — the trust metadata of Sec. III-B.
+// it stays valid, and which annotator signed it — the trust metadata of
+// Sec. III-B.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/ids.h"
 #include "common/sim_time.h"
 #include "common/tristate.h"
-#include "naming/name.h"
 
 namespace dde::decision {
-
-/// Static description of a label (the variable itself, not its value).
-struct LabelInfo {
-  LabelId id;
-  naming::Name name;      ///< hierarchical semantic name, e.g. /label/viable/seg12
-  std::string type;       ///< semantic type, e.g. "road condition"
-};
 
 /// A resolved label value with provenance (the paper's signed-label record).
 struct LabelValue {
@@ -32,7 +24,6 @@ struct LabelValue {
   SimTime evaluated_at;               ///< when the annotation was made
   SimTime validity;                   ///< freshness interval of the value
   AnnotatorId annotator;              ///< who evaluated (signature)
-  std::vector<ObjectId> evidence;     ///< objects used to decide the value
 
   [[nodiscard]] SimTime expires_at() const noexcept {
     return evaluated_at + validity;
@@ -41,6 +32,10 @@ struct LabelValue {
     return value != Tristate::kUnknown && t < expires_at();
   }
 };
+
+// Caches, label shares and assignments copy values freely; keep that a
+// plain memberwise copy.
+static_assert(std::is_trivially_copyable_v<LabelValue>);
 
 /// A (partial) assignment of values to one expression's labels, with
 /// freshness handling. Slot `s` holds the value of the label the expression
@@ -52,9 +47,9 @@ struct LabelValue {
 class Assignment {
  public:
   /// Record the value at `slot` (overwrites any previous value).
-  void set(std::uint32_t slot, LabelValue v) {
+  void set(std::uint32_t slot, const LabelValue& v) {
     if (slot >= records_.size()) records_.resize(slot + 1);
-    records_[slot] = std::move(v);
+    records_[slot] = v;
   }
 
   /// The value at `slot` if known and still fresh at `now`.

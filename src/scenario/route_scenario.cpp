@@ -218,8 +218,9 @@ RouteRun::RouteRun(const ScenarioConfig& config)
                                ? cfg.critical_priority
                                : 0;
       issued_exprs_[i].emplace_back(when, expr);
-      sim_.schedule_at(when, [this, node, expr = std::move(expr), priority] {
-        node->query_init(expr, cfg_.query_deadline, priority);
+      sim_.schedule_at(when, [this, node, expr = std::move(expr),
+                              priority]() mutable {
+        node->query_init(std::move(expr), cfg_.query_deadline, priority);
       });
       ++issued_;
     }

@@ -8,7 +8,7 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/ids.h"
@@ -41,15 +41,15 @@ struct SensorInfo {
 struct EvidenceObject {
   ObjectId id;
   SourceId source;
-  naming::Name name;        ///< sensor name extended with a capture index
   std::uint64_t bytes = 0;
   SimTime captured_at;      ///< sample time
   SimTime validity;         ///< fresh while now < captured_at + validity
   double reliability = 1.0; ///< per-reading correctness probability
 
-  /// Ground-truth viability of each covered segment at captured_at.
-  /// An annotator reads these to produce labels.
-  std::unordered_map<SegmentId, bool> readings;
+  /// (segment, viability) of each covered segment at captured_at, sorted
+  /// by segment, one reading per segment. An annotator reads these to
+  /// produce labels.
+  std::vector<std::pair<SegmentId, bool>> readings;
 
   [[nodiscard]] SimTime expires_at() const noexcept {
     return captured_at + validity;

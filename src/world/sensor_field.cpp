@@ -99,17 +99,23 @@ EvidenceObject SensorField::sample(SourceId id, SimTime now) {
   EvidenceObject obj;
   obj.id = ObjectId{samples_};
   obj.source = id;
-  obj.name = s.name.child("capture" + std::to_string(samples_));
   obj.bytes = s.object_bytes;
   obj.captured_at = now;
   obj.validity = s.validity;
   obj.reliability = s.reliability;
+  obj.readings.reserve(s.covers.size());
+  // Noise is drawn in `covers` order; each reading is inserted at its
+  // sorted place, and a repeated segment keeps its first reading.
   for (SegmentId seg : s.covers) {
     bool reading = truth_.viable_at(seg, now);
     if (s.reliability < 1.0 && !noise_rng_.chance(s.reliability)) {
       reading = !reading;  // sensor error
     }
-    obj.readings.emplace(seg, reading);
+    const auto at = std::ranges::lower_bound(
+        obj.readings, seg, {}, &std::pair<SegmentId, bool>::first);
+    if (at == obj.readings.end() || at->first != seg) {
+      obj.readings.insert(at, {seg, reading});
+    }
   }
   ++samples_;
   return obj;

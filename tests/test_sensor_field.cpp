@@ -117,12 +117,59 @@ TEST(SensorField, SampleMatchesGroundTruth) {
     EXPECT_EQ(obj.captured_at, t);
     EXPECT_EQ(obj.validity, s.validity);
     EXPECT_EQ(obj.bytes, s.object_bytes);
-    EXPECT_EQ(obj.readings.size(), s.covers.size());
-    for (SegmentId seg : s.covers) {
-      ASSERT_TRUE(obj.readings.contains(seg));
-      EXPECT_EQ(obj.readings.at(seg), f.truth.viable_at(seg, t));
+    std::vector<SegmentId> covers = s.covers;
+    std::sort(covers.begin(), covers.end());
+    ASSERT_EQ(obj.readings.size(), covers.size());
+    for (std::size_t i = 0; i < covers.size(); ++i) {
+      EXPECT_EQ(obj.readings[i].first, covers[i]);
+      EXPECT_EQ(obj.readings[i].second, f.truth.viable_at(covers[i], t));
     }
   }
+}
+
+TEST(SensorField, ReadingsSortedUniqueFirstDrawKept) {
+  // One sensor whose field of view is listed unsorted and names segment 5
+  // twice, against a reference field with one sensor per listed segment:
+  // both draw noise from the same stream in the same order, so the
+  // reference's per-sensor samples are the per-reading draws.
+  Fixture f;
+  auto make = [](std::uint64_t id, std::vector<SegmentId> covers) {
+    SensorInfo s;
+    s.id = SourceId{id};
+    s.covers = std::move(covers);
+    s.object_bytes = 100;
+    s.validity = SimTime::seconds(10);
+    s.reliability = 0.5;
+    return s;
+  };
+  const std::vector<SegmentId> listed{SegmentId{5}, SegmentId{2},
+                                      SegmentId{5}, SegmentId{0}};
+  SensorField dup(f.map, f.truth, {make(0, listed)});
+  std::vector<SensorInfo> singles;
+  for (std::size_t i = 0; i < listed.size(); ++i) {
+    singles.push_back(make(i, {listed[i]}));
+  }
+  SensorField ref(f.map, f.truth, singles);
+
+  int repeat_disagreed = 0;
+  for (int k = 0; k < 64; ++k) {
+    const SimTime t = SimTime::seconds(k);
+    const EvidenceObject obj = dup.sample(SourceId{0}, t);
+    std::vector<bool> draws;
+    for (std::size_t i = 0; i < listed.size(); ++i) {
+      draws.push_back(ref.sample(SourceId{i}, t).readings.front().second);
+    }
+    ASSERT_EQ(obj.readings.size(), 3u);
+    EXPECT_EQ(obj.readings[0].first, SegmentId{0});
+    EXPECT_EQ(obj.readings[0].second, draws[3]);
+    EXPECT_EQ(obj.readings[1].first, SegmentId{2});
+    EXPECT_EQ(obj.readings[1].second, draws[1]);
+    EXPECT_EQ(obj.readings[2].first, SegmentId{5});
+    EXPECT_EQ(obj.readings[2].second, draws[0]) << "first reading kept";
+    if (draws[0] != draws[2]) ++repeat_disagreed;
+  }
+  EXPECT_GT(repeat_disagreed, 0) << "the two draws for segment 5 never "
+                                    "differed, so keep-first went untested";
 }
 
 TEST(SensorField, SampleIdsAreUniqueAndCounted) {

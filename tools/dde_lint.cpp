@@ -662,7 +662,7 @@ void scan_file(const FileText& ft, const std::set<std::string>& unordered_ids,
       }
       // A call expression (`sorted_keys(queries_)`) materializes a copy —
       // iterating the result is fine; only bare container accesses
-      // (`queries_`, `obj.readings`) are hazards.
+      // (`queries_`, `beliefs_`) are hazards.
       const bool is_call = !range.empty() && range.back() == ')';
       const std::string id = last_ident(range);
       if (!is_call && unordered_ids.count(id)) {
